@@ -1,6 +1,6 @@
 // Operator-level microbenchmarks: per-op GFLOP/s under the scalar backend vs the
 // runtime-dispatched SIMD backend, on the fleet's vector-eligible profile (RTX6000,
-// kStridedVector = the fixed 8-lane reduction tree).
+// kStrided with block 8 = the fixed 8-lane reduction tree).
 //
 // The SIMD backend is only admissible because it is bitwise identical to the scalar
 // fixed-tree loops (src/device/simd.h); the last column re-checks that here, on the

@@ -33,12 +33,6 @@ enum class AccumulationOrder {
   kPairwiseTree,  // recursive pairwise halving (tree reduction)
   kBlocked,       // per-block sequential partials, then sequential across partials
   kStrided,       // S interleaved accumulators (warp-lane style), then combine
-  // Eight interleaved accumulators with a fixed sequential lane combine — numerically
-  // IDENTICAL to kStrided with block=8 in every bit, but named separately because this
-  // is the one order a 8-lane FP32 vector unit reproduces natively: profiles carrying
-  // it are eligible for the SIMD backend (src/device/simd.h) with bitwise-equal
-  // results guaranteed by construction.
-  kStridedVector,
 };
 
 // How a device evaluates transcendental intrinsics (CUDA math functions are allowed
@@ -61,13 +55,13 @@ struct DeviceProfile {
   bool fma = false;
   IntrinsicFlavor intrinsics = IntrinsicFlavor::kFloatNative;
 
-  // True when this profile's reduction order is exactly the fixed 8-lane tree a vector
-  // unit executes natively (kStridedVector, or kStrided with block == 8). Only such
-  // profiles may take the SIMD reduction path; all others must stay scalar because a
-  // vector unit cannot reproduce their association order bit for bit.
+  // True when this profile's reduction order is exactly the fixed 8-lane tree an
+  // 8-lane FP32 vector unit executes natively (kStrided with block == 8). Only such
+  // profiles may take the SIMD reduction path (src/device/simd.h), bitwise equal by
+  // construction; all others must stay scalar because a vector unit cannot reproduce
+  // their association order bit for bit.
   bool vector_eligible() const {
-    return order == AccumulationOrder::kStridedVector ||
-           (order == AccumulationOrder::kStrided && block == 8);
+    return order == AccumulationOrder::kStrided && block == 8;
   }
 
   // --- Reductions -----------------------------------------------------------------
@@ -110,10 +104,9 @@ struct DeviceProfile {
 // specific fleet, so serialized threshold files embed this signature and the loader
 // can detect that the arithmetic changed underneath a published calibration (which
 // requires recalibrating) — whether by fleet composition or by a vmath generation
-// bump. Pure relabels that do not change any bit of arithmetic hash identically:
-// kStridedVector encodes as kStrided(block=8) — they are the same reduction tree —
-// so renaming a profile to mark it vector-eligible does not invalidate existing
-// calibrations.
+// bump. The block is encoded only for the orders whose arithmetic reads it
+// (kBlocked, kStrided), so a block value the order ignores does not read as a fleet
+// change.
 std::string FleetSignature(std::span<const DeviceProfile> fleet);
 
 // The calibration fleet (stand-ins for RTX 4090, RTX 6000, A100, H100) plus the

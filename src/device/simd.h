@@ -6,8 +6,8 @@
 // bit for bit). The backend achieves this by construction: every vector reduction
 // implements one FIXED reduction tree — eight strided lane accumulators followed by a
 // fixed sequential lane combine — which is exactly the arithmetic of
-// `AccumulationOrder::kStrided` with `block = 8` (aliased as `kStridedVector` in the
-// profile table). One AVX2 ymm register holds the eight lanes, so the vector loop and
+// `AccumulationOrder::kStrided` with `block = 8` (DeviceProfile::vector_eligible()).
+// One AVX2 ymm register holds the eight lanes, so the vector loop and
 // the scalar loop perform the *same additions in the same order*; they can only differ
 // in speed. Profiles whose order a vector unit cannot reproduce exactly (kSequential,
 // kPairwiseTree, kBlocked, kStrided with block != 8) always take the scalar path.

@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "src/observability/trace.h"
-#include "src/runtime/parallel_for.h"
-#include "src/runtime/thread_pool.h"
 #include "src/util/check.h"
 
 namespace tao {
@@ -121,31 +119,25 @@ std::vector<ClaimPhase1> BatchVerifier::ExecutePhase1(const std::vector<BatchCla
 
 BatchClaimOutcome BatchVerifier::ResolveClaim(const BatchClaim& claim,
                                               const ClaimPhase1& phase1, uint64_t shard) {
-  DisputeOptions dispute_options = options_.dispute;
-  dispute_options.coordinator_shard = shard;
-  return ResolveClaimWithOptions(claim, phase1, dispute_options);
-}
-
-BatchClaimOutcome BatchVerifier::ResolveClaimWithOptions(
-    const BatchClaim& claim, const ClaimPhase1& phase1,
-    const DisputeOptions& dispute_options) {
   BatchClaimOutcome outcome;
   outcome.model = coordinator_.model_id();
   outcome.c0 = phase1.c0;
+  DisputeOptions options = options_.dispute;
+  options.coordinator_shard = shard;
   if (!claim.supervised()) {
     // Nobody watches this claim: the proposer commits and the window elapses (on the
     // owning shard's clock only — flows on other shards are untouched).
-    const ClaimId id = coordinator_.SubmitCommitment(
-        phase1.c0, dispute_options.challenge_window, dispute_options.proposer_bond,
-        dispute_options.coordinator_shard);
-    coordinator_.AdvanceTimeFor(id, dispute_options.challenge_window);
+    const ClaimId id = coordinator_.SubmitCommitment(phase1.c0, options.challenge_window,
+                                                     options.proposer_bond,
+                                                     options.coordinator_shard);
+    coordinator_.AdvanceTimeFor(id, options.challenge_window);
     TAO_CHECK(coordinator_.TryFinalize(id) == ClaimState::kFinalized);
     outcome.claim_id = id;
     outcome.final_state = ClaimState::kFinalized;
     outcome.gas_used = coordinator_.claim_gas(id);
     return outcome;
   }
-  DisputeGame game(model_, commitment_, thresholds_, coordinator_, dispute_options);
+  DisputeGame game(model_, commitment_, thresholds_, coordinator_, options);
   outcome.dispute =
       game.RunFromPhase1(claim.inputs, *claim.verifier_device, phase1.proposer_trace,
                          phase1.challenger_output, phase1.c0, phase1.flagged);
@@ -156,53 +148,6 @@ BatchClaimOutcome BatchVerifier::ResolveClaimWithOptions(
   outcome.final_state = outcome.dispute.final_state;
   outcome.gas_used = outcome.dispute.gas_used;
   return outcome;
-}
-
-std::vector<BatchClaimOutcome> BatchVerifier::VerifyBatch(
-    const std::vector<BatchClaim>& claims, TensorArena::Stats* arena_stats) {
-  const size_t num_claims = claims.size();
-  std::vector<BatchClaimOutcome> outcomes(num_claims);
-  if (num_claims == 0) {
-    return outcomes;
-  }
-  const std::vector<ClaimPhase1> phase1 = ExecutePhase1(claims, arena_stats);
-
-  if (!options_.concurrent_disputes) {
-    // Claim-ordered resolution: the exact per-claim action sequence of the
-    // historical one-claim-at-a-time path, so gas, ledger, claim ids, and stats are
-    // bitwise identical to it.
-    for (size_t i = 0; i < num_claims; ++i) {
-      outcomes[i] = ResolveClaim(claims[i], phase1[i]);
-    }
-    return outcomes;
-  }
-
-  // Concurrent mode: resolve unflagged claims first in claim order (their happy
-  // paths advance the shared clock), then fan the flagged claims' dispute games out
-  // across the pool with the per-round clock advance disabled — games sharing the
-  // coordinator must not push each other past round deadlines or challenge windows.
-  std::vector<size_t> flagged;
-  for (size_t i = 0; i < num_claims; ++i) {
-    if (phase1[i].supervised && phase1[i].flagged) {
-      flagged.push_back(i);
-    } else {
-      outcomes[i] = ResolveClaim(claims[i], phase1[i]);
-    }
-  }
-  if (!flagged.empty()) {
-    DisputeOptions frozen_clock = options_.dispute;
-    frozen_clock.advance_clock_per_round = false;
-    ThreadPool* pool =
-        options_.dispute.num_threads > 1 ? &ThreadPool::Shared() : nullptr;
-    const ParallelFor fan_out(pool, options_.dispute.num_threads);
-    fan_out(static_cast<int64_t>(flagged.size()), [&](int64_t begin, int64_t end) {
-      for (int64_t j = begin; j < end; ++j) {
-        const size_t i = flagged[static_cast<size_t>(j)];
-        outcomes[i] = ResolveClaimWithOptions(claims[i], phase1[i], frozen_clock);
-      }
-    });
-  }
-  return outcomes;
 }
 
 }  // namespace tao

@@ -19,22 +19,17 @@
 // execution, per the runtime determinism contract), because only a dispute needs to
 // post partition interface values from interior nodes.
 //
-// The claim lifecycle is split into two independently callable halves so the service
-// layer (src/service/) can pipeline them:
+// The claim lifecycle is two independently callable halves, which the service layer
+// (src/service/) pipelines:
 //   * ExecutePhase1: the batched DAG + threshold checks + lazy re-execution. Touches
 //     no coordinator state, so cohorts from different workers can execute
 //     concurrently.
 //   * ResolveClaim: one claim's coordinator interaction (submission, window,
-//     dispute game). Callers choose the resolution order; resolving claims in
-//     submission order replays the historical sequential path bitwise.
-// VerifyBatch composes the two. By default resolution runs in claim order, one claim
-// at a time — exactly the historical sequential path (DisputeGame::Run per
-// supervised claim, submit/finalize per unsupervised claim), so verdicts, per-claim
-// gas, digests, claim ids, stats, and the ledger are bitwise identical to it. With
-// `concurrent_disputes`, flagged claims instead fan their dispute games out across
-// the pool: verdicts, digests, and per-claim gas are unchanged (the runtime is
-// bitwise deterministic and gas is metered per claim), while ledger *ordering* —
-// not its conservation — may differ.
+//     dispute game). Callers choose the resolution order; calling ExecutePhase1 and
+//     then ResolveClaim for each claim in submission order replays the historical
+//     sequential path (DisputeGame::Run per supervised claim, submit/finalize per
+//     unsupervised claim) bitwise: verdicts, per-claim gas, digests, claim ids,
+//     stats, and the ledger.
 
 #ifndef TAO_SRC_PROTOCOL_BATCH_VERIFIER_H_
 #define TAO_SRC_PROTOCOL_BATCH_VERIFIER_H_
@@ -103,9 +98,6 @@ struct BatchVerifierOptions {
   DisputeOptions dispute;
   // Recycle dead intermediates of output-only lanes through one shared TensorArena.
   bool reuse_buffers = false;
-  // Fan flagged claims' dispute games out across the pool instead of resolving them
-  // in claim order. Per-claim outcomes are identical; ledger ordering is not.
-  bool concurrent_disputes = false;
 };
 
 class BatchVerifier {
@@ -114,15 +106,12 @@ class BatchVerifier {
                 const ThresholdSet& thresholds, Coordinator& coordinator,
                 BatchVerifierOptions options = {});
 
-  // Runs the full lifecycle of every claim. Outcomes are indexed like `claims`.
-  // `arena_stats`, when non-null, receives the batched phase's shared-arena counters.
-  std::vector<BatchClaimOutcome> VerifyBatch(const std::vector<BatchClaim>& claims,
-                                             TensorArena::Stats* arena_stats = nullptr);
-
-  // The cohort's batched phase 1 only: one scheduler DAG for every lane, per-claim
-  // C0 epilogues, output threshold checks, and the lazy full re-execution of flagged
-  // claims' proposer traces. Touches no coordinator state — safe to call from
-  // concurrent service workers sharing this verifier.
+  // The cohort's batched phase 1: one scheduler DAG for every lane, per-claim C0
+  // epilogues, output threshold checks, and the lazy full re-execution of flagged
+  // claims' proposer traces. Results are indexed like `claims`; `arena_stats`, when
+  // non-null, receives the batched phase's shared-arena counters. Touches no
+  // coordinator state — safe to call from concurrent service workers sharing this
+  // verifier.
   std::vector<ClaimPhase1> ExecutePhase1(const std::vector<BatchClaim>& claims,
                                          TensorArena::Stats* arena_stats = nullptr);
 
@@ -138,10 +127,6 @@ class BatchVerifier {
                                  uint64_t shard = 0);
 
  private:
-  BatchClaimOutcome ResolveClaimWithOptions(const BatchClaim& claim,
-                                            const ClaimPhase1& phase1,
-                                            const DisputeOptions& dispute_options);
-
   const Model& model_;
   const ModelCommitment& commitment_;
   const ThresholdSet& thresholds_;

@@ -383,9 +383,7 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
     }
     round.selected_child = selected;
     coordinator_.RecordSelection(claim, selected);
-    if (options_.advance_clock_per_round) {
-      coordinator_.AdvanceTimeFor(claim, 1);
-    }
+    coordinator_.AdvanceTimeFor(claim, 1);
     slice = children[static_cast<size_t>(selected)];
     result.rounds += 1;
     record_round_span(round.round, round_begin_ns);

@@ -75,13 +75,6 @@ struct DisputeOptions {
   // EWMA smoothing weight for the waste observations above (0 < rate <= 1; the
   // first observation seeds the estimate directly).
   double slice_learning_rate = 0.25;
-  // Advance the coordinator's logical clock by one tick per dispute round. The
-  // BatchVerifier's concurrent-dispute mode turns this off so games sharing the
-  // coordinator SHARD cannot push each other past round deadlines; the clock is
-  // protocol bookkeeping only, so verdicts, rounds, and gas are unchanged. (Games on
-  // distinct shards are already clock-isolated: every time advance the game performs
-  // is per-claim, so it only moves the owning shard's clock.)
-  bool advance_clock_per_round = true;
   // Coordinator shard the claim is homed to at submission (taken mod num_shards; all
   // later actions route by the assigned id). The service's per-shard resolve lanes
   // pass their lane index; standalone drivers leave it 0.

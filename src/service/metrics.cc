@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "src/device/simd.h"
+#include "src/util/check.h"
 
 namespace tao {
 namespace {
@@ -27,8 +28,9 @@ size_t LatencyBucket(double latency_seconds) {
 }
 
 // Percentile read over one histogram image (shared by the snapshot accessor and the
-// registry's live read).
+// registry's live read). p is in [0, 100], like util::Percentile.
 double PercentileMillisOf(const std::array<int64_t, kLatencyBuckets>& hist, double p) {
+  TAO_CHECK(p >= 0.0 && p <= 100.0) << "p=" << p;
   int64_t total = 0;
   for (const int64_t count : hist) {
     total += count;
@@ -36,10 +38,9 @@ double PercentileMillisOf(const std::array<int64_t, kLatencyBuckets>& hist, doub
   if (total == 0) {
     return 0.0;
   }
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  // Rank of the percentile sample, 1-based: ceil(p * total), at least 1.
+  // Rank of the percentile sample, 1-based: ceil(p / 100 * total), at least 1.
   const int64_t rank = std::max<int64_t>(
-      1, static_cast<int64_t>(clamped * static_cast<double>(total) + 0.999999));
+      1, static_cast<int64_t>(p / 100.0 * static_cast<double>(total) + 0.999999));
   int64_t cumulative = 0;
   for (size_t b = 0; b < kLatencyBuckets; ++b) {
     cumulative += hist[b];
@@ -128,8 +129,8 @@ std::vector<NamedCounter> NamedCounters(const MetricsSnapshot& snapshot,
   add("queue/depth", static_cast<double>(snapshot.queue_depth));
   add("queue/peak_depth", static_cast<double>(snapshot.peak_queue_depth));
   add("batches/dispatched", static_cast<double>(snapshot.batches_dispatched));
-  add("latency/p50_ms", snapshot.LatencyPercentileMillis(0.50));
-  add("latency/p99_ms", snapshot.LatencyPercentileMillis(0.99));
+  add("latency/p50_ms", snapshot.LatencyPercentileMillis(50.0));
+  add("latency/p99_ms", snapshot.LatencyPercentileMillis(99.0));
   add("durability/records_appended",
       static_cast<double>(snapshot.durability_records_appended));
   add("durability/bytes_appended",

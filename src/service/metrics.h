@@ -69,7 +69,7 @@ struct MetricsSnapshot {
   std::array<int64_t, kBatchSizeBuckets> batch_size_hist{};
   std::array<int64_t, kLatencyBuckets> latency_hist_us{};
 
-  // Latency percentile (p in [0, 1]) in milliseconds, read off the histogram's
+  // Latency percentile (p in [0, 100]) in milliseconds, read off the histogram's
   // cumulative counts; returns the selected bucket's upper bound. 0 when no verdict
   // has been delivered yet.
   double LatencyPercentileMillis(double p) const;

@@ -82,7 +82,7 @@ std::shared_ptr<ClaimTicket> VerificationService::Submit(BatchClaim claim,
     const int64_t completed = metrics_.completed_count();
     if (completed >= options_.slo_min_observations &&
         metrics_.accepted_count() > completed &&
-        metrics_.RecentLatencyPercentileMillis(0.99) > options_.latency_slo_ms) {
+        metrics_.RecentLatencyPercentileMillis(99.0) > options_.latency_slo_ms) {
       metrics_.RecordSubmission(false);
       metrics_.RecordSloShed();
       return nullptr;

@@ -119,14 +119,9 @@ std::vector<ReferenceOutcome> RunSequentialReference(const Model& model,
   return outcomes;
 }
 
-// `check_claim_id` applies only to claim-ordered resolution; the concurrent mode
-// does not guarantee id assignment order.
 void ExpectOutcomeMatchesReference(const BatchClaimOutcome& got, const ReferenceOutcome& ref,
-                                   size_t i, const std::string& label,
-                                   bool check_claim_id = true) {
-  if (check_claim_id) {
-    EXPECT_EQ(got.claim_id, ref.claim_id) << label << ": claim " << i;
-  }
+                                   size_t i, const std::string& label) {
+  EXPECT_EQ(got.claim_id, ref.claim_id) << label << ": claim " << i;
   EXPECT_EQ(got.c0, ref.c0) << label << ": claim " << i << " C0 digest diverged";
   EXPECT_EQ(got.flagged, ref.flagged) << label << ": claim " << i;
   EXPECT_EQ(got.proposer_guilty, ref.proposer_guilty) << label << ": claim " << i;
@@ -137,6 +132,19 @@ void ExpectOutcomeMatchesReference(const BatchClaimOutcome& got, const Reference
     EXPECT_EQ(got.dispute.total_merkle_checks, ref.merkle_checks)
         << label << ": claim " << i;
   }
+}
+
+// The production driver's shape: the cohort's batched phase 1, then each claim
+// resolved in claim order.
+std::vector<BatchClaimOutcome> VerifyInClaimOrder(BatchVerifier& verifier,
+                                                  const std::vector<BatchClaim>& claims) {
+  const std::vector<ClaimPhase1> phase1 = verifier.ExecutePhase1(claims);
+  std::vector<BatchClaimOutcome> outcomes;
+  outcomes.reserve(claims.size());
+  for (size_t i = 0; i < claims.size(); ++i) {
+    outcomes.push_back(verifier.ResolveClaim(claims[i], phase1[i]));
+  }
+  return outcomes;
 }
 
 // ----------------------------- Executor::RunOutputBatch -----------------------------
@@ -231,7 +239,7 @@ TEST_F(BatchVerifierFixture, BatchMatchesSequentialAcrossThreadsAndArena) {
       options.dispute.num_threads = threads;
       options.reuse_buffers = reuse;
       BatchVerifier verifier(*model_, *commitment_, *thresholds_, coordinator, options);
-      const std::vector<BatchClaimOutcome> outcomes = verifier.VerifyBatch(claims);
+      const std::vector<BatchClaimOutcome> outcomes = VerifyInClaimOrder(verifier, claims);
       ASSERT_EQ(outcomes.size(), reference.size());
       for (size_t i = 0; i < outcomes.size(); ++i) {
         ExpectOutcomeMatchesReference(outcomes[i], reference[i], i, label);
@@ -267,7 +275,7 @@ TEST_F(BatchVerifierFixture, BatchSizeDoesNotChangeOutcomes) {
       const size_t end = std::min(claims.size(), next + batch_size);
       const std::vector<BatchClaim> chunk(claims.begin() + static_cast<long>(next),
                                           claims.begin() + static_cast<long>(end));
-      const std::vector<BatchClaimOutcome> chunk_outcomes = verifier.VerifyBatch(chunk);
+      const std::vector<BatchClaimOutcome> chunk_outcomes = VerifyInClaimOrder(verifier, chunk);
       outcomes.insert(outcomes.end(), chunk_outcomes.begin(), chunk_outcomes.end());
       next = end;
     }
@@ -280,34 +288,6 @@ TEST_F(BatchVerifierFixture, BatchSizeDoesNotChangeOutcomes) {
     EXPECT_EQ(balances.challenger, reference_balances.challenger) << label;
     EXPECT_EQ(balances.treasury, reference_balances.treasury) << label;
   }
-}
-
-TEST_F(BatchVerifierFixture, ConcurrentDisputesMatchVerdictsGasAndDigests) {
-  const std::vector<BatchClaim> claims = MakeClaims(*model_, 8, 0x5eedb3);
-
-  Coordinator reference_coordinator;
-  const std::vector<ReferenceOutcome> reference = RunSequentialReference(
-      *model_, *commitment_, *thresholds_, claims, reference_coordinator, DisputeOptions{});
-
-  Coordinator coordinator;
-  BatchVerifierOptions options;
-  options.dispute.num_threads = 8;
-  options.reuse_buffers = true;
-  options.concurrent_disputes = true;
-  BatchVerifier verifier(*model_, *commitment_, *thresholds_, coordinator, options);
-  const std::vector<BatchClaimOutcome> outcomes = verifier.VerifyBatch(claims);
-  ASSERT_EQ(outcomes.size(), reference.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    // Concurrent fan-out reorders ledger writes but cannot change any per-claim
-    // outcome: execution is bitwise deterministic and gas is metered per claim.
-    ExpectOutcomeMatchesReference(outcomes[i], reference[i], i, "concurrent",
-                                  /*check_claim_id=*/false);
-  }
-  // The ledger still conserves value: escrow accounting closes regardless of the
-  // interleaving (slashes split between challenger reward and burned treasury).
-  const Balances balances = coordinator.balances();
-  EXPECT_NEAR(balances.proposer + balances.challenger + balances.treasury, 0.0, 1e-9);
-  EXPECT_EQ(coordinator.gas().total(), reference_coordinator.gas().total());
 }
 
 // Supervised proposer lanes are output-only: the batch's arena working set must stay
@@ -334,16 +314,14 @@ TEST_F(BatchVerifierFixture, SupervisedBatchPeakMemoryStaysFlat) {
   options.dispute.num_threads = 1;  // sequential lanes: peaks are deterministic
   options.reuse_buffers = true;
 
-  Coordinator single_coordinator;
-  BatchVerifier single(*model_, *commitment_, *thresholds_, single_coordinator, options);
+  Coordinator coordinator;
+  BatchVerifier verifier(*model_, *commitment_, *thresholds_, coordinator, options);
   TensorArena::Stats single_stats;
-  (void)single.VerifyBatch({claims[0]}, &single_stats);
+  (void)verifier.ExecutePhase1({claims[0]}, &single_stats);
   ASSERT_GT(single_stats.peak_outstanding_bytes, 0);
 
-  Coordinator batch_coordinator;
-  BatchVerifier batched(*model_, *commitment_, *thresholds_, batch_coordinator, options);
   TensorArena::Stats batch_stats;
-  (void)batched.VerifyBatch(claims, &batch_stats);
+  (void)verifier.ExecutePhase1(claims, &batch_stats);
 
   // 8 supervised claims' lanes recycle through one arena: the batch peak stays well
   // under two single-claim peaks (it would be ~8x if supervised lanes kept traces).

@@ -353,31 +353,10 @@ TEST_F(SimdEquivalenceTest, RowMaxMatchesScalarFold) {
   }
 }
 
-TEST(SimdProfileTest, StridedVectorIsBitwiseAliasOfStridedBlock8) {
-  DeviceProfile strided = DeviceRegistry::Reference();
-  strided.order = AccumulationOrder::kStrided;
-  strided.block = 8;
-  DeviceProfile vec = strided;
-  vec.order = AccumulationOrder::kStridedVector;
-  ASSERT_TRUE(strided.vector_eligible());
-  ASSERT_TRUE(vec.vector_eligible());
-  for (const size_t n : SimdSizes()) {
-    const auto xs = HardVector(n, 0xa11a + n);
-    const auto ys = HardVector(n, 0xa22a + n);
-    EXPECT_TRUE(BitEq(strided.Accumulate(xs), vec.Accumulate(xs))) << "n=" << n;
-    if (n > 0) {
-      EXPECT_TRUE(BitEq(
-          strided.DotStrided(xs.data(), 1, ys.data(), 1, static_cast<int64_t>(n)),
-          vec.DotStrided(xs.data(), 1, ys.data(), 1, static_cast<int64_t>(n))))
-          << "n=" << n;
-    }
-  }
-}
-
 TEST(SimdProfileTest, VectorPathEqualsScalarStridedSemantics) {
   // The dispatched vector-eligible path must reproduce the *profile semantics*
   // (kStrided block=8 staged products), not merely agree with itself: compare the
-  // RTX6000 vector profile against a plain kStrided(8) profile forced scalar.
+  // dispatched RTX6000 profile against a plain kStrided(8) profile forced scalar.
   const DeviceProfile& rtx6000 = DeviceRegistry::ByName("RTX6000");
   ASSERT_TRUE(rtx6000.vector_eligible());
   DeviceProfile pinned = rtx6000;
@@ -429,18 +408,14 @@ TEST(SimdProfileTest, BackendNamesAndSupport) {
   EXPECT_TRUE(SimdBackendSupported(ActiveSimdBackend()));
 }
 
-TEST(FleetSignatureTest, StableUnderVectorRelabelOnly) {
+TEST(FleetSignatureTest, PinnedToPublishedCalibrationsAndMovedByArithmetic) {
   std::vector<DeviceProfile> fleet = DeviceRegistry::Fleet();
   const std::string sig = FleetSignature(fleet);
-  // Relabelling kStridedVector back to kStrided(8) is arithmetic-neutral: the
-  // signature must not move (published calibrations stay valid).
-  for (DeviceProfile& d : fleet) {
-    if (d.order == AccumulationOrder::kStridedVector) {
-      d.order = AccumulationOrder::kStrided;
-      d.block = 8;
-    }
-  }
-  EXPECT_EQ(FleetSignature(fleet), sig);
+  // Published threshold files embed this exact string; it must not move unless the
+  // fleet's arithmetic does.
+  EXPECT_EQ(sig,
+            "vmath1;H100:tree:0:fma1:dbl;A100:blocked:128:fma1:fn;"
+            "RTX4090:blocked:32:fma0:fn;RTX6000:strided:8:fma1:fn");
   // Any arithmetic change must move it.
   fleet[0].fma = !fleet[0].fma;
   EXPECT_NE(FleetSignature(fleet), sig);

@@ -170,27 +170,38 @@ TEST(MetricsRegistryTest, RecentLatencyWindowForgetsOldBursts) {
   for (size_t i = 0; i < kSloLatencyWindow; ++i) {
     registry.RecordVerdict(0.13, false);
   }
-  EXPECT_GT(registry.RecentLatencyPercentileMillis(0.99), 100.0);
+  EXPECT_GT(registry.RecentLatencyPercentileMillis(99.0), 100.0);
   // ... then a full window of fast verdicts (~20 us). The ring has wrapped: the
   // recent percentile must see ONLY the fast window, while the cumulative
   // histogram (which never decays) still remembers the burst.
   for (size_t i = 0; i < kSloLatencyWindow; ++i) {
     registry.RecordVerdict(20e-6, false);
   }
-  EXPECT_LT(registry.RecentLatencyPercentileMillis(0.99), 1.0);
+  EXPECT_LT(registry.RecentLatencyPercentileMillis(99.0), 1.0);
   const MetricsSnapshot snapshot = registry.Snapshot(0, 0);
-  EXPECT_GT(snapshot.LatencyPercentileMillis(0.99), 100.0)
+  EXPECT_GT(snapshot.LatencyPercentileMillis(99.0), 100.0)
       << "the cumulative histogram must still hold the old burst";
   EXPECT_EQ(snapshot.completed, static_cast<int64_t>(2 * kSloLatencyWindow));
 }
 
 TEST(MetricsRegistryTest, PartiallyFilledWindowUsesOnlyValidEntries) {
   MetricsRegistry registry;
-  EXPECT_EQ(registry.RecentLatencyPercentileMillis(0.5), 0.0) << "no verdicts yet";
+  EXPECT_EQ(registry.RecentLatencyPercentileMillis(50.0), 0.0) << "no verdicts yet";
   registry.RecordVerdict(0.004, false);  // 4 ms
-  const double p50 = registry.RecentLatencyPercentileMillis(0.5);
+  const double p50 = registry.RecentLatencyPercentileMillis(50.0);
   EXPECT_GT(p50, 1.0);
   EXPECT_LT(p50, 20.0);
+}
+
+TEST(MetricsSnapshotTest, PercentileTakesPInZeroToHundred) {
+  // One verdict in bucket 0 ([1, 2) us) and one in bucket 3 ([8, 16) us): the median
+  // is the lower bucket, the maximum the upper one. p is in [0, 100], like
+  // util::Percentile; a [0, 1] reading of 50.0 would clamp to p100.
+  MetricsSnapshot snapshot;
+  snapshot.latency_hist_us[0] = 1;
+  snapshot.latency_hist_us[3] = 1;
+  EXPECT_DOUBLE_EQ(snapshot.LatencyPercentileMillis(50.0), 0.002);
+  EXPECT_DOUBLE_EQ(snapshot.LatencyPercentileMillis(100.0), 0.016);
 }
 
 TEST(NamedCountersTest, LatencyPercentilesAndQueueDepthAreFirstClassCounters) {

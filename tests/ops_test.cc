@@ -566,7 +566,7 @@ TEST_P(SimdOpSweepTest, ForwardAndBoundBitwiseScalarVsSimd) {
   for (size_t i = 0; i < c.shapes.size(); ++i) {
     inputs.push_back(RandTensor(c.shapes[i], 300 + GetParam() * 10 + i, c.scale));
   }
-  // RTX6000 carries kStridedVector — the one profile whose reductions dispatch to
+  // RTX6000 carries kStrided(block=8) — the one profile whose reductions dispatch to
   // the vector backend.
   const DeviceProfile& device = DeviceRegistry::ByName("RTX6000");
   ASSERT_TRUE(device.vector_eligible());

@@ -604,8 +604,8 @@ TEST_F(ServiceFixture, MetricsSnapshotsAreConsistentWhileTheServiceRuns) {
   EXPECT_EQ(batch_hist_total, final_snapshot.batches_dispatched);
   EXPECT_EQ(latency_hist_total, final_snapshot.completed);
   EXPECT_GT(final_snapshot.claims_per_second, 0.0);
-  const double p50 = final_snapshot.LatencyPercentileMillis(0.5);
-  const double p99 = final_snapshot.LatencyPercentileMillis(0.99);
+  const double p50 = final_snapshot.LatencyPercentileMillis(50.0);
+  const double p99 = final_snapshot.LatencyPercentileMillis(99.0);
   EXPECT_GT(p50, 0.0);
   EXPECT_LE(p50, p99);
 }

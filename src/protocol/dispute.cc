@@ -140,12 +140,6 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
   // need fresh re-execution.
   std::map<NodeId, Tensor> challenger_cache;
   bool first_child_cached = false;
-  // Online ceiling learning (adaptive_slice_learning): per-game EWMA of observed
-  // speculative waste; the effective ceiling tracks it from the first speculated
-  // round on (until then it equals the static limit).
-  double waste_ewma = 0.0;
-  bool waste_seeded = false;
-  int64_t effective_slice_limit = options_.speculative_slice_limit;
   while (slice.size() > 1) {
     RoundStats round;
     round.round = result.rounds;
@@ -217,9 +211,7 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
     coordinator_.RecordMerkleCheck(claim, proofs_checked);
 
     // Boundary for a child: agreed values extended by earlier children's accepted
-    // live-outs. Every extension is a proposer-posted value, so the boundary is
-    // derivable before any child re-executes — which is what lets the speculative
-    // mode fan all fresh children out at once with unchanged verdicts.
+    // live-outs. Every extension is a proposer-posted value.
     const auto child_boundary = [&](const ChildRecord& record) {
       std::map<NodeId, Tensor> boundary;
       for (size_t i = 0; i < record.frontier.live_in.size(); ++i) {
@@ -246,51 +238,6 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
       return true;
     };
 
-    // -- Speculative mode: re-execute every fresh child of the round concurrently ----
-    // Policy: always-on (`speculative_reexecution`), or adaptive — only when the
-    // partition is wide AND this round's slice is small enough that wasted
-    // speculative children are cheap (see the DisputeOptions comment; the fig. 8
-    // bench reports the DCR/latency tradeoff of the three policies).
-    const int64_t slice_limit_this_round = options_.adaptive_slice_learning
-                                               ? effective_slice_limit
-                                               : options_.speculative_slice_limit;
-    const bool speculate_this_round =
-        options_.speculative_reexecution ||
-        (options_.adaptive_speculation && options_.partition_n > 2 &&
-         slice.size() <= slice_limit_this_round);
-    std::vector<std::map<NodeId, Tensor>> prefetched(records.size());
-    std::vector<char> has_prefetch(records.size(), 0);
-    if (speculate_this_round && pool != nullptr && records.size() > 1) {
-      std::vector<std::map<NodeId, Tensor>> boundaries(records.size());
-      for (size_t j = 0; j < records.size(); ++j) {
-        if (j == 0 && first_child_cached && cache_covers(records[0].slice)) {
-          continue;  // served from the challenger's cache below
-        }
-        has_prefetch[j] = 1;
-        boundaries[j] = child_boundary(records[j]);
-      }
-      const ParallelFor children_parallel(pool, options_.num_threads);
-      children_parallel(static_cast<int64_t>(records.size()),
-                        [&](int64_t begin, int64_t end) {
-                          for (int64_t j = begin; j < end; ++j) {
-                            if (has_prefetch[static_cast<size_t>(j)]) {
-                              prefetched[static_cast<size_t>(j)] = ExecuteSlice(
-                                  graph, challenger_device,
-                                  records[static_cast<size_t>(j)].slice,
-                                  boundaries[static_cast<size_t>(j)],
-                                  options_.num_threads);
-                            }
-                          }
-                        });
-      for (size_t j = 0; j < records.size(); ++j) {
-        if (has_prefetch[j]) {
-          // Honest DCR accounting: speculative work past the offender still counts.
-          round.children_reexecuted += 1;
-          round.reexec_flops += SliceFlops(graph, records[j].slice);
-        }
-      }
-    }
-
     int64_t selected = -1;
     bool selected_child_cached = false;
     for (size_t j = 0; j < records.size(); ++j) {
@@ -306,10 +253,7 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
           const NodeId id = ops[static_cast<size_t>(i)];
           reexec.emplace(id, challenger_cache.at(id));
         }
-      } else if (has_prefetch[j]) {
-        reexec = std::move(prefetched[j]);
-      }
-      if (reexec.empty()) {
+      } else {
         reexec = ExecuteSlice(graph, challenger_device, record.slice,
                               child_boundary(record), options_.num_threads);
         round.children_reexecuted += 1;
@@ -343,37 +287,6 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
     round.challenger_selection_ms = selection_watch.ElapsedMillis();
     result.challenger_flops += round.reexec_flops;
 
-    // Waste observation for the learned ceiling: of the children this round
-    // actually prefetched, how many sat past the offender (a lazy challenger
-    // would never have touched them)? With no offender every child was needed
-    // regardless of policy, so the round's waste is 0.
-    if (options_.adaptive_slice_learning && speculate_this_round) {
-      int64_t prefetched_children = 0;
-      int64_t wasted_children = 0;
-      for (size_t j = 0; j < has_prefetch.size(); ++j) {
-        if (!has_prefetch[j]) {
-          continue;
-        }
-        ++prefetched_children;
-        if (selected >= 0 && static_cast<int64_t>(j) > selected) {
-          ++wasted_children;
-        }
-      }
-      if (prefetched_children > 0) {
-        const double waste =
-            static_cast<double>(wasted_children) / static_cast<double>(prefetched_children);
-        const double rate = options_.slice_learning_rate;
-        waste_ewma = waste_seeded ? (1.0 - rate) * waste_ewma + rate * waste : waste;
-        waste_seeded = true;
-        const int64_t base = options_.speculative_slice_limit;
-        const double scaled = static_cast<double>(base) * 2.0 * (1.0 - waste_ewma);
-        int64_t next = static_cast<int64_t>(scaled);
-        if (next < 1) next = 1;
-        if (next > 4 * base) next = 4 * base;
-        effective_slice_limit = next;
-      }
-    }
-
     if (selected < 0) {
       // No child exceeded its thresholds: the challenge does not hold up.
       no_offender_found = true;
@@ -388,10 +301,6 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
     result.rounds += 1;
     record_round_span(round.round, round_begin_ns);
     result.round_stats.push_back(round);
-  }
-  if (options_.adaptive_slice_learning && waste_seeded) {
-    result.speculative_waste_ewma = waste_ewma;
-    result.learned_slice_limit = effective_slice_limit;
   }
 
   if (no_offender_found) {

@@ -42,39 +42,6 @@ struct DisputeOptions {
   // Traces, verdicts, rounds, flops, and gas are identical for any value — the
   // protocol compares exact values and the runtime is bitwise deterministic.
   int num_threads = 1;
-  // Re-execute all of a round's children concurrently instead of lazily stopping at
-  // the first offender. Boundaries are proposer-posted values, so they are known
-  // up-front and verdicts are unchanged; the DCR accounting then honestly includes
-  // the speculative work past the offender (cost_ratio can rise; wall-clock drops).
-  bool speculative_reexecution = false;
-  // Adaptive speculation (the ROADMAP follow-on to the always-on knob above, which
-  // stays off by default because it inflates DCR): speculate only on rounds where
-  // the expected DCR overhead is small — the partition is wide (partition_n > 2, so
-  // lazy selection would serialize many children) AND the round's slice is already
-  // small (at most speculative_slice_limit ops, so even fully wasted children cost
-  // little). Early rounds re-execute near-full-model slices lazily (DCR-cheap: the
-  // offender is usually found after ~n/2 children of a HUGE slice, and speculating
-  // there can nearly double challenger FLOPs); late narrow rounds fan out
-  // (latency-cheap: the residual slices are tiny). Verdicts are unchanged either
-  // way; only DCR accounting and wall-clock move. Ignored when
-  // speculative_reexecution is already true.
-  bool adaptive_speculation = false;
-  // Slice-size ceiling (in ops) below which adaptive speculation engages.
-  int64_t speculative_slice_limit = 64;
-  // Learn the adaptive-speculation ceiling online instead of trusting the static
-  // default: every speculated round observes its waste fraction — prefetched
-  // children PAST the selected offender over all prefetched children (0 when no
-  // offender was found, since every child then had to be checked anyway) — and
-  // folds it into an EWMA w. Later rounds use an effective ceiling of
-  // speculative_slice_limit * 2 * (1 - w), clamped to [1, 4 * limit]: low observed
-  // waste widens the window (fan out on bigger slices), high waste shrinks it.
-  // Verdicts, rounds, and selections never move — the estimate only changes WHICH
-  // rounds fan out, i.e. DCR accounting and wall-clock, exactly like the static
-  // knob. Off by default; meaningful only with adaptive_speculation.
-  bool adaptive_slice_learning = false;
-  // EWMA smoothing weight for the waste observations above (0 < rate <= 1; the
-  // first observation seeds the estimate directly).
-  double slice_learning_rate = 0.25;
   // Coordinator shard the claim is homed to at submission (taken mod num_shards; all
   // later actions route by the assigned id). The service's per-shard resolve lanes
   // pass their lane index; standalone drivers leave it 0.
@@ -106,11 +73,6 @@ struct DisputeResult {
   int64_t challenger_flops = 0;
   double cost_ratio = 0.0;  // DCR / one model forward
   int64_t gas_used = 0;     // gas attributable to this claim's lifecycle
-  // Adaptive slice learning (DisputeOptions::adaptive_slice_learning): the waste
-  // EWMA after the game's last observation, and the effective ceiling it implies
-  // for a hypothetical next round. Zeros when learning is off or never observed.
-  double speculative_waste_ewma = 0.0;
-  int64_t learned_slice_limit = 0;
   std::vector<RoundStats> round_stats;
 };
 

@@ -8,6 +8,14 @@
 #include "src/util/check.h"
 
 namespace tao {
+namespace {
+
+// Budgets are re-apportioned every this many accepted submissions (and at every
+// serve/drain transition). The cadence is a freshness/overhead knob only; budgets
+// never affect outcomes.
+constexpr int64_t kRebalanceInterval = 64;
+
+}  // namespace
 
 const char* GatewayStatusName(GatewayStatus status) {
   switch (status) {
@@ -56,9 +64,6 @@ ServingGateway::ServingGateway(ModelRegistry& registry, GatewayOptions options)
     : registry_(registry), options_(options) {
   TAO_CHECK(options_.total_memory_budget_bytes > 0);
   TAO_CHECK(options_.min_model_budget_bytes > 0);
-  if (options_.pin_workers) {
-    ThreadPool::Shared().PinWorkers();
-  }
   if (options_.rpc.enabled || options_.monitoring.enabled) {
     DispatcherOptions dispatcher_options;
     dispatcher_options.thread_role = options_.rpc.enabled ? "net_poll" : "monitoring";
@@ -72,17 +77,6 @@ ServingGateway::ServingGateway(ModelRegistry& registry, GatewayOptions options)
     pool_gauge_handle_ = ResourceTracker::Get().RegisterGauge(
         "resource/pool_queue_depth",
         [] { return static_cast<double>(ThreadPool::Shared().queue_depth()); });
-    if (options_.pin_workers) {
-      // One placement gauge per pool worker: -1 while unpinned (1-core host or
-      // TAO_DISABLE_PINNING), otherwise the core index the worker is affined to.
-      const int workers = ThreadPool::Shared().num_workers();
-      core_gauge_handles_.reserve(static_cast<size_t>(workers));
-      for (int i = 0; i < workers; ++i) {
-        core_gauge_handles_.push_back(ResourceTracker::Get().RegisterGauge(
-            "worker/" + std::to_string(i) + "/core",
-            [i] { return static_cast<double>(ThreadPool::Shared().worker_core(i)); }));
-      }
-    }
     monitoring_ = std::make_unique<MonitoringServer>(
         options_.monitoring,
         [this] {
@@ -106,9 +100,6 @@ ServingGateway::~ServingGateway() {
   rpc_.reset();
   if (pool_gauge_handle_ != 0) {
     ResourceTracker::Get().UnregisterGauge(pool_gauge_handle_);
-  }
-  for (const size_t handle : core_gauge_handles_) {
-    ResourceTracker::Get().UnregisterGauge(handle);
   }
   DrainAll();
   // Retire every still-attached model (drained above, so teardown is prompt).
@@ -206,8 +197,7 @@ GatewaySubmitResult ServingGateway::Submit(ModelId id, BatchClaim claim,
     return result;
   }
   result.status = GatewayStatus::kAccepted;
-  if (options_.rebalance_interval > 0 &&
-      accepted_since_rebalance_.fetch_add(1) + 1 >= options_.rebalance_interval) {
+  if (accepted_since_rebalance_.fetch_add(1) + 1 >= kRebalanceInterval) {
     accepted_since_rebalance_.store(0);
     std::unique_lock<std::shared_mutex> lock(mu_);
     ApportionBudgetsLocked();

@@ -14,12 +14,13 @@
 //     through ThreadPool::Shared(); an idle model's worker/lane threads just block
 //     on their queue, costing ~zero CPU and no pool capacity);
 //   * one GLOBAL arena memory budget is apportioned across models by queue
-//     pressure: every `rebalance_interval` accepted submissions the gateway
-//     re-splits `total_memory_budget_bytes` across serving models proportional to
-//     1 + queue_depth (floored at `min_model_budget_bytes`), so a hot model's
-//     BatchFormer can form wide cohorts while an idle model's budget collapses to
-//     the floor. Budgets only shape batch sizing — outcomes are
-//     batch-composition-independent — so rebalancing is determinism-free.
+//     pressure: every 64 accepted submissions (kRebalanceInterval) and at every
+//     serve/drain transition the gateway re-splits `total_memory_budget_bytes`
+//     across serving models proportional to 1 + queue_depth (floored at
+//     `min_model_budget_bytes`), so a hot model's BatchFormer can form wide
+//     cohorts while an idle model's budget collapses to the floor. Budgets only
+//     shape batch sizing — outcomes are batch-composition-independent — so
+//     rebalancing is determinism-free.
 //
 // With a registry containing exactly one model, the gateway adds only a routing
 // table lookup in front of the PR-4 VerificationService path: verdicts, gas,
@@ -76,10 +77,6 @@ struct GatewayOptions {
   // Floor below which no serving model's share may fall — a cold model must still
   // be able to form a minimal cohort the moment traffic arrives.
   int64_t min_model_budget_bytes = 16ll << 20;
-  // Re-apportion every this many accepted submissions (0 = only on serve/drain
-  // transitions). The cadence is a freshness/overhead knob only; budgets never
-  // affect outcomes.
-  int64_t rebalance_interval = 64;
   // HTTP monitoring endpoint (off by default). When enabled, the gateway serves
   // /metrics, /snapshot, /traces, and /healthz over its own NamedCounters plus the
   // process ResourceTracker, and turns span tracing on for its lifetime.
@@ -89,11 +86,6 @@ struct GatewayOptions {
   // connections, and `net/...` counters join the gateway's NamedCounters. When
   // monitoring is ALSO enabled, both servers share one epoll dispatcher thread.
   RpcServerOptions rpc;
-  // Pin the shared runtime pool's workers to cores (round-robin over
-  // hardware_concurrency; TAO_DISABLE_PINNING overrides; no-op on 1-core hosts).
-  // Placement only — outcomes never depend on it. When monitoring is also enabled
-  // the placement is exported as one `worker/<n>/core` gauge per pool worker.
-  bool pin_workers = false;
 };
 
 // Per-model slice of a gateway metrics snapshot.
@@ -196,7 +188,6 @@ class ServingGateway {
   std::unique_ptr<RpcServer> rpc_;                // null when disabled
   std::unique_ptr<MonitoringServer> monitoring_;  // null when disabled
   size_t pool_gauge_handle_ = 0;
-  std::vector<size_t> core_gauge_handles_;  // worker/<n>/core, when pinning+monitoring
 
   // Guards slots_ (the routing table). Submit share-locks only long enough to copy
   // the service pointer; blocking admission happens outside the lock, so a stalled

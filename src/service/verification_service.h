@@ -66,10 +66,6 @@ struct ServiceOptions {
   // `verifier.dispute.num_threads`, so 1 worker already uses every core; more
   // workers overlap cohort setup/teardown and lazy re-executions.
   int num_workers = 1;
-  // Pin the shared runtime pool's workers to cores at service startup (round-robin
-  // over hardware_concurrency; TAO_DISABLE_PINNING overrides; no-op on 1-core
-  // hosts). Placement only — outcomes are bitwise identical either way.
-  bool pin_workers = false;
   size_t queue_capacity = 256;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   // Bounds one submitter's resident queue share (0 = off). See SubmissionQueue.

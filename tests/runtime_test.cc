@@ -4,10 +4,9 @@
 // setting, across model-zoo graphs, because commitments hash exact values.
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,60 +48,6 @@ TEST(ThreadPoolTest, SharedPoolSupportsEightWayExecution) {
   // single-core CI box (7 workers + caller).
   EXPECT_GE(ThreadPool::Shared().num_workers(), 7);
 }
-
-TEST(ThreadPoolTest, PinWorkersAssignsRoundRobinCores) {
-  const unsigned cores = std::thread::hardware_concurrency();
-  ThreadPool pool(4);
-  const int pinned = pool.PinWorkers();
-  if (cores <= 1) {
-    // Single-core host: pinning is a documented no-op.
-    EXPECT_EQ(pinned, 0);
-    EXPECT_EQ(pool.worker_core(0), -1);
-    return;
-  }
-  EXPECT_EQ(pinned, 4);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(pool.worker_core(i), static_cast<int>(i % cores)) << "worker " << i;
-  }
-  EXPECT_EQ(pool.worker_core(-1), -1);
-  EXPECT_EQ(pool.worker_core(99), -1);
-  EXPECT_EQ(pool.PinWorkers(), 4);  // idempotent
-  // Placement must not affect execution: the pool still runs everything.
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&] { done.fetch_add(1); });
-  }
-  while (done.load() < 64) {
-  }
-}
-
-TEST(ThreadPoolTest, PinningDisabledByEnvironment) {
-  setenv("TAO_DISABLE_PINNING", "1", 1);
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.PinWorkers(), 0);
-  EXPECT_EQ(pool.worker_core(0), -1);
-  EXPECT_EQ(pool.worker_core(1), -1);
-  unsetenv("TAO_DISABLE_PINNING");
-}
-
-TEST(ThreadPoolTest, OptionsConstructorPinsAtStartup) {
-  ThreadPoolOptions options;
-  options.num_workers = 3;
-  options.pin_threads = true;
-  ThreadPool pool(options);
-  EXPECT_EQ(pool.num_workers(), 3);
-  if (std::thread::hardware_concurrency() > 1) {
-    EXPECT_EQ(pool.worker_core(0), 0);
-  }
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&] { done.fetch_add(1); });
-  }
-  while (done.load() < 32) {
-  }
-}
-
-// ----------------------------------- ParallelFor -----------------------------------
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
@@ -320,95 +265,34 @@ TEST(RuntimeDeterminismTest, ParallelDisputeGameMatchesSequentialVerdict) {
   const Tensor delta = Tensor::Randn(g.node(target).shape, delta_rng, 5e-2f);
   const std::vector<Executor::Perturbation> cheat = {{target, delta}};
 
-  DisputeResult baseline;
-  {
-    Coordinator coordinator;
-    DisputeGame game(model, commitment, thresholds, coordinator);
-    baseline = game.Run(input, DeviceRegistry::ByName("H100"),
-                        DeviceRegistry::ByName("RTX4090"), cheat);
-  }
-  ASSERT_TRUE(baseline.proposer_guilty);
-  ASSERT_EQ(baseline.leaf_op, target);
+  // A 4-thread game must match a sequential game of the same partition width.
+  for (const int64_t partition_n : {int64_t{2}, int64_t{4}}) {
+    SCOPED_TRACE("partition_n=" + std::to_string(partition_n));
+    const auto run_game = [&](int num_threads) {
+      Coordinator coordinator;
+      DisputeOptions options;
+      options.partition_n = partition_n;
+      options.num_threads = num_threads;
+      DisputeGame game(model, commitment, thresholds, coordinator, options);
+      return game.Run(input, DeviceRegistry::ByName("H100"),
+                      DeviceRegistry::ByName("RTX4090"), cheat);
+    };
+    const DisputeResult baseline = run_game(1);
+    ASSERT_TRUE(baseline.proposer_guilty);
+    ASSERT_EQ(baseline.leaf_op, target);
 
-  for (const bool speculative : {false, true}) {
-    Coordinator coordinator;
-    DisputeOptions options;
-    options.num_threads = 4;
-    options.speculative_reexecution = speculative;
-    DisputeGame game(model, commitment, thresholds, coordinator, options);
-    const DisputeResult result = game.Run(input, DeviceRegistry::ByName("H100"),
-                                          DeviceRegistry::ByName("RTX4090"), cheat);
+    const DisputeResult result = run_game(4);
     // The runtime is bitwise deterministic, so every protocol-visible outcome —
-    // verdict, localization, round count, on-chain gas — matches the sequential game.
+    // verdict, localization, round count, on-chain gas — and the challenger's work
+    // match the sequential game.
     EXPECT_EQ(result.proposer_guilty, baseline.proposer_guilty);
     EXPECT_EQ(result.leaf_op, baseline.leaf_op);
     EXPECT_EQ(result.final_state, baseline.final_state);
     EXPECT_EQ(result.rounds, baseline.rounds);
     EXPECT_EQ(result.total_merkle_checks, baseline.total_merkle_checks);
     EXPECT_EQ(result.gas_used, baseline.gas_used);
-    if (!speculative) {
-      // Lazy scheduling also performs the exact same amount of challenger work.
-      EXPECT_EQ(result.challenger_flops, baseline.challenger_flops);
-    } else {
-      // Speculation may do extra (honestly accounted) work, never less.
-      EXPECT_GE(result.challenger_flops, baseline.challenger_flops);
-    }
+    EXPECT_EQ(result.challenger_flops, baseline.challenger_flops);
   }
-}
-
-TEST(RuntimeDeterminismTest, AdaptiveSliceLearningKeepsVerdictsAndAdapts) {
-  // adaptive_slice_learning replaces the STATIC speculation ceiling with an
-  // EWMA-learned one. Like every speculation knob it may only move scheduling
-  // and DCR accounting: the verdict, localization, round count, Merkle checks,
-  // and gas must match the non-learning adaptive game exactly.
-  const Model model = BuildBertMini();
-  CalibrateOptions calib_options;
-  calib_options.num_samples = 4;
-  const Calibration calibration = Calibrate(model, DeviceRegistry::Fleet(), calib_options);
-  const ThresholdSet thresholds = calibration.MakeThresholds(3.0);
-  const ModelCommitment commitment(*model.graph, thresholds);
-
-  Rng rng(0x7b4);
-  const std::vector<Tensor> input = model.sample_input(rng);
-  const Graph& g = *model.graph;
-  const NodeId target = g.op_nodes()[g.num_ops() / 2];
-  Rng delta_rng(0x7b5);
-  const Tensor delta = Tensor::Randn(g.node(target).shape, delta_rng, 5e-2f);
-  const std::vector<Executor::Perturbation> cheat = {{target, delta}};
-
-  const auto run_game = [&](bool learning) {
-    Coordinator coordinator;
-    DisputeOptions options;
-    options.num_threads = 4;
-    options.partition_n = 4;  // adaptive speculation requires a wide partition
-    options.adaptive_speculation = true;
-    options.adaptive_slice_learning = learning;
-    DisputeGame game(model, commitment, thresholds, coordinator, options);
-    return game.Run(input, DeviceRegistry::ByName("H100"),
-                    DeviceRegistry::ByName("RTX4090"), cheat);
-  };
-
-  const DisputeResult baseline = run_game(false);
-  ASSERT_TRUE(baseline.proposer_guilty);
-  ASSERT_EQ(baseline.leaf_op, target);
-  // Learning is off: the result carries no learned state.
-  EXPECT_EQ(baseline.learned_slice_limit, 0);
-  EXPECT_EQ(baseline.speculative_waste_ewma, 0.0);
-
-  const DisputeResult learned = run_game(true);
-  EXPECT_EQ(learned.proposer_guilty, baseline.proposer_guilty);
-  EXPECT_EQ(learned.leaf_op, baseline.leaf_op);
-  EXPECT_EQ(learned.final_state, baseline.final_state);
-  EXPECT_EQ(learned.rounds, baseline.rounds);
-  EXPECT_EQ(learned.total_merkle_checks, baseline.total_merkle_checks);
-  EXPECT_EQ(learned.gas_used, baseline.gas_used);
-  // The late rounds of any multi-round game have slices under the default
-  // ceiling, so the learner must have observed at least one speculated round.
-  ASSERT_GT(baseline.rounds, 1);
-  EXPECT_GE(learned.learned_slice_limit, 1);
-  EXPECT_LE(learned.learned_slice_limit, 4 * DisputeOptions{}.speculative_slice_limit);
-  EXPECT_GE(learned.speculative_waste_ewma, 0.0);
-  EXPECT_LE(learned.speculative_waste_ewma, 1.0);
 }
 
 TEST(RuntimeDeterminismTest, ConcurrentDecodePairMatchesSequential) {

@@ -17,23 +17,24 @@ float SumSequential(std::span<const float> xs) {
   return acc;
 }
 
-float SumReversed(std::span<const float> xs) {
-  float acc = 0.0f;
-  for (size_t i = xs.size(); i > 0; --i) {
-    acc += xs[i - 1];
+// Recursive split-at-n/2 tree; the leaves for n <= 4 are written out.
+float SumPairwise(const float* xs, size_t n) {
+  switch (n) {
+    case 0:
+      return 0.0f;
+    case 1:
+      return xs[0];
+    case 2:
+      return xs[0] + xs[1];
+    case 3:
+      return xs[0] + (xs[1] + xs[2]);
+    case 4:
+      return (xs[0] + xs[1]) + (xs[2] + xs[3]);
+    default: {
+      const size_t half = n / 2;
+      return SumPairwise(xs, half) + SumPairwise(xs + half, n - half);
+    }
   }
-  return acc;
-}
-
-float SumPairwise(std::span<const float> xs) {
-  if (xs.empty()) {
-    return 0.0f;
-  }
-  if (xs.size() == 1) {
-    return xs[0];
-  }
-  const size_t half = xs.size() / 2;
-  return SumPairwise(xs.subspan(0, half)) + SumPairwise(xs.subspan(half));
 }
 
 float SumBlocked(std::span<const float> xs, int64_t block) {
@@ -81,10 +82,8 @@ float DeviceProfile::Accumulate(std::span<const float> xs) const {
   switch (order) {
     case AccumulationOrder::kSequential:
       return SumSequential(xs);
-    case AccumulationOrder::kReversed:
-      return SumReversed(xs);
     case AccumulationOrder::kPairwiseTree:
-      return SumPairwise(xs);
+      return SumPairwise(xs.data(), xs.size());
     case AccumulationOrder::kBlocked:
       return SumBlocked(xs, block);
     case AccumulationOrder::kStrided:
@@ -126,39 +125,47 @@ float DeviceProfile::DotStrided(const float* a, int64_t stride_a, const float* b
       }
       return acc;
     }
-    case AccumulationOrder::kReversed: {
-      float acc = 0.0f;
-      if (fma) {
-        for (int64_t i = n; i > 0; --i) {
-          acc = std::fmaf(a[(i - 1) * stride_a], b[(i - 1) * stride_b], acc);
-        }
-      } else {
-        for (int64_t i = n; i > 0; --i) {
-          acc += product(i - 1);
-        }
-      }
-      return acc;
-    }
     case AccumulationOrder::kPairwiseTree:
     case AccumulationOrder::kBlocked:
     case AccumulationOrder::kStrided: {
-      std::vector<float> prods(static_cast<size_t>(n));
+      // Left uninitialized: prods[0, n) is written below before Accumulate reads it,
+      // and zero-filling 1 KB per dot would cost as much as a short dot.
+      float staged[kStagedDotProducts];
+      std::vector<float> heap;
+      float* prods = staged;
+      if (n > kStagedDotProducts) {
+        heap.resize(static_cast<size_t>(n));
+        prods = heap.data();
+      }
       if (fma) {
         // Contracted product staging: round-to-nearest of the exact product is what
-        // FMA-based tiles feed the tree; emulate with fmaf against zero.
+        // FMA-based tiles feed the tree.
         for (int64_t i = 0; i < n; ++i) {
-          prods[static_cast<size_t>(i)] = std::fmaf(a[i * stride_a], b[i * stride_b], 0.0f);
+          prods[i] = FusedProduct(a[i * stride_a], b[i * stride_b]);
         }
       } else {
         for (int64_t i = 0; i < n; ++i) {
-          prods[static_cast<size_t>(i)] = product(i);
+          prods[i] = product(i);
         }
       }
-      return Accumulate(prods);
+      return Accumulate(std::span<const float>(prods, static_cast<size_t>(n)));
     }
   }
   TAO_CHECK(false) << "unreachable";
   return 0.0f;
+}
+
+void DeviceProfile::DotRow(const float* a, const float* b, int64_t ldb, int64_t k,
+                           int64_t n, float* out) const {
+  int64_t j = 0;
+  if (simd::DotColumns8Supported(*this)) {
+    for (; j + 8 <= n; j += 8) {
+      simd::DotColumns8(*this, a, b + j, ldb, k, out + j);
+    }
+  }
+  for (; j < n; ++j) {
+    out[j] = DotStrided(a, 1, b + j, ldb, k);
+  }
 }
 
 // Intrinsics. exp/tanh/erf route through the pinned vmath polynomials for EVERY
@@ -279,7 +286,7 @@ std::string FleetSignature(std::span<const DeviceProfile> fleet) {
                                   d.order == AccumulationOrder::kStrided
                               ? d.block
                               : 0;
-    static const char* kOrderTokens[] = {"seq", "rev", "tree", "blocked", "strided"};
+    static const char* kOrderTokens[] = {"seq", "tree", "blocked", "strided"};
     if (!sig.empty()) {
       sig += ';';
     }

@@ -4,8 +4,8 @@
 // floating-point reductions and fuse multiply-adds; that reordering is the *only*
 // property of the hardware the protocol interacts with (Sec. 1: "cross-platform
 // nondeterminism is intrinsic"). We reproduce it faithfully in software: a
-// `DeviceProfile` fixes an accumulation order (sequential, reversed, pairwise tree,
-// blocked, strided/interleaved — all orderings that real warp/tile schedules induce),
+// `DeviceProfile` fixes an accumulation order (sequential, pairwise tree, blocked,
+// strided/interleaved — all orderings that real warp/tile schedules induce),
 // an FMA contraction policy, and an intrinsic evaluation flavour. Running the same
 // FP32 operator under two profiles yields bitwise-different results whose deviation is
 // exactly IEEE-754 non-associativity, the same mechanism as real GPUs, with the same
@@ -29,7 +29,6 @@ namespace tao {
 // How a device's kernels order the partial sums of a reduction.
 enum class AccumulationOrder {
   kSequential,    // strict left-to-right; the canonical reference order
-  kReversed,      // right-to-left
   kPairwiseTree,  // recursive pairwise halving (tree reduction)
   kBlocked,       // per-block sequential partials, then sequential across partials
   kStrided,       // S interleaved accumulators (warp-lane style), then combine
@@ -46,6 +45,19 @@ enum class IntrinsicFlavor {
   kDoubleRounded,
 };
 
+// fl(a*b + 0) with one rounding — what an FMA profile's tile feeds its reduction —
+// without a libm fmaf call: the double product of two floats is exact, `+ 0.0` turns
+// an exact -0 into +0 as fmaf(a, b, 0) does, and the cast rounds once (so a product
+// that underflows keeps its sign, as fmaf's does). When both factors are NaN, which
+// payload survives is not pinned, here or in fmaf.
+inline float FusedProduct(float a, float b) {
+  return static_cast<float>(static_cast<double>(a) * static_cast<double>(b) + 0.0);
+}
+
+// Products a tree/blocked/strided dot stages on the stack; longer inner products
+// (none in the model zoo) stage through one heap buffer per dot.
+inline constexpr int64_t kStagedDotProducts = 256;
+
 struct DeviceProfile {
   std::string name;
   AccumulationOrder order = AccumulationOrder::kSequential;
@@ -57,9 +69,10 @@ struct DeviceProfile {
 
   // True when this profile's reduction order is exactly the fixed 8-lane tree an
   // 8-lane FP32 vector unit executes natively (kStrided with block == 8). Only such
-  // profiles may take the SIMD reduction path (src/device/simd.h), bitwise equal by
-  // construction; all others must stay scalar because a vector unit cannot reproduce
-  // their association order bit for bit.
+  // profiles may vectorize a single reduction (src/device/simd.h), bitwise equal by
+  // construction; for all others one register cannot reproduce the association
+  // order bit for bit, so their reductions stay scalar and only their GEMM rows
+  // vectorize, across outputs (DotRow).
   bool vector_eligible() const {
     return order == AccumulationOrder::kStrided && block == 8;
   }
@@ -73,6 +86,12 @@ struct DeviceProfile {
   // Strided inner product for matmul inner loops: a[i*stride_a], b[i*stride_b].
   float DotStrided(const float* a, int64_t stride_a, const float* b, int64_t stride_b,
                    int64_t n) const;
+  // One GEMM output row: out[j] = DotStrided(a, 1, b + j, ldb, k) for j in [0, n),
+  // bitwise. Under the AVX2 backend, kPairwiseTree and kBlocked profiles compute
+  // eight adjacent outputs per step (simd::DotColumns8, each lane in this profile's
+  // scalar order); the n % 8 tail and every other profile take DotStrided.
+  void DotRow(const float* a, const float* b, int64_t ldb, int64_t k, int64_t n,
+              float* out) const;
 
   // --- Intrinsics -----------------------------------------------------------------
   float Exp(float x) const;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/device/device.h"
 #include "src/util/check.h"
 
 // The AVX2 paths are compiled behind a target attribute so the translation unit builds
@@ -269,6 +270,111 @@ float DotStrided8(const float* a, int64_t stride_a, const float* b, int64_t stri
   }
 #endif
   return DotStrided8Scalar(a, stride_a, b, stride_b, n);
+}
+
+// ---- Lanes across outputs ----------------------------------------------------------
+//
+// Lane l of every __m256 below carries output l's partial sums; the loops and the
+// recursion are the scalar reductions of src/device/device.cc with float replaced by
+// __m256, so each lane performs that output's additions in the same order.
+
+#if TAO_SIMD_X86
+
+namespace {
+
+// Products a[i] * b[i*ldb + l] of step i for the eight lanes. With kFma, an exact
+// zero product (a zero factor) becomes +0 as fmaf(a, b, 0) makes it; every other
+// product, including one that underflows to -0, is the rounded product vmulps gives.
+template <bool kFma>
+TAO_TARGET_AVX2 inline __m256 LaneProducts(const float* a, const float* b, int64_t ldb,
+                                           int64_t i) {
+  const __m256 va = _mm256_broadcast_ss(a + i);
+  const __m256 vb = _mm256_loadu_ps(b + i * ldb);
+  const __m256 p = _mm256_mul_ps(va, vb);
+  if constexpr (kFma) {
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 exact_zero = _mm256_and_ps(
+        _mm256_cmp_ps(p, zero, _CMP_EQ_OQ),
+        _mm256_or_ps(_mm256_cmp_ps(va, zero, _CMP_EQ_OQ), _mm256_cmp_ps(vb, zero, _CMP_EQ_OQ)));
+    return _mm256_andnot_ps(exact_zero, p);
+  }
+  return p;
+}
+
+// SumPairwise over the products of steps [0, n): the same split-at-n/2 tree with the
+// same written-out leaves, products formed at the leaves instead of staged.
+template <bool kFma>
+TAO_TARGET_AVX2 __m256 TreeLanes(const float* a, const float* b, int64_t ldb, int64_t n) {
+  // (No lambda for the leaf product: a lambda does not inherit the AVX2 target.)
+  switch (n) {
+    case 0:
+      return _mm256_setzero_ps();
+    case 1:
+      return LaneProducts<kFma>(a, b, ldb, 0);
+    case 2:
+      return _mm256_add_ps(LaneProducts<kFma>(a, b, ldb, 0), LaneProducts<kFma>(a, b, ldb, 1));
+    case 3:
+      return _mm256_add_ps(
+          LaneProducts<kFma>(a, b, ldb, 0),
+          _mm256_add_ps(LaneProducts<kFma>(a, b, ldb, 1), LaneProducts<kFma>(a, b, ldb, 2)));
+    case 4:
+      return _mm256_add_ps(
+          _mm256_add_ps(LaneProducts<kFma>(a, b, ldb, 0), LaneProducts<kFma>(a, b, ldb, 1)),
+          _mm256_add_ps(LaneProducts<kFma>(a, b, ldb, 2), LaneProducts<kFma>(a, b, ldb, 3)));
+    default: {
+      const int64_t half = n / 2;
+      return _mm256_add_ps(TreeLanes<kFma>(a, b, ldb, half),
+                           TreeLanes<kFma>(a + half, b + half * ldb, ldb, n - half));
+    }
+  }
+}
+
+// SumBlocked: per-block partials from +0, each added to an accumulator from +0.
+template <bool kFma>
+TAO_TARGET_AVX2 __m256 BlockedLanes(const float* a, const float* b, int64_t ldb,
+                                    int64_t k, int64_t block) {
+  __m256 acc = _mm256_setzero_ps();
+  for (int64_t i = 0; i < k; i += block) {
+    const int64_t end = std::min(k, i + block);
+    __m256 partial = _mm256_setzero_ps();
+    for (int64_t j = i; j < end; ++j) {
+      partial = _mm256_add_ps(partial, LaneProducts<kFma>(a, b, ldb, j));
+    }
+    acc = _mm256_add_ps(acc, partial);
+  }
+  return acc;
+}
+
+TAO_TARGET_AVX2 void DotColumns8Avx2(const DeviceProfile& device, const float* a,
+                                     const float* b, int64_t ldb, int64_t k, float* out) {
+  __m256 sums;
+  if (device.order == AccumulationOrder::kPairwiseTree) {
+    sums = device.fma ? TreeLanes<true>(a, b, ldb, k) : TreeLanes<false>(a, b, ldb, k);
+  } else {
+    sums = device.fma ? BlockedLanes<true>(a, b, ldb, k, device.block)
+                      : BlockedLanes<false>(a, b, ldb, k, device.block);
+  }
+  _mm256_storeu_ps(out, sums);
+}
+
+}  // namespace
+
+#endif  // TAO_SIMD_X86
+
+bool DotColumns8Supported(const DeviceProfile& device) {
+  return TAO_SIMD_X86 && ActiveSimdBackend() == SimdBackend::kAvx2 &&
+         (device.order == AccumulationOrder::kPairwiseTree ||
+          (device.order == AccumulationOrder::kBlocked && device.block > 0));
+}
+
+void DotColumns8(const DeviceProfile& device, const float* a, const float* b,
+                 int64_t ldb, int64_t k, float* out) {
+  TAO_CHECK(DotColumns8Supported(device))
+      << "no lane kernel for profile " << device.name << " on the "
+      << SimdBackendName(ActiveSimdBackend()) << " backend";
+#if TAO_SIMD_X86
+  DotColumns8Avx2(device, a, b, ldb, k, out);
+#endif
 }
 
 // ---- Exact elementwise helpers -----------------------------------------------------

@@ -3,14 +3,22 @@
 // The paper's constraint is that commitments hash exact FP32 values, so a fast kernel
 // is only admissible if it is *bitwise-reproducible* across runs and across hosts
 // (a scalar machine re-executing a claim must reproduce the proposer's vector output
-// bit for bit). The backend achieves this by construction: every vector reduction
-// implements one FIXED reduction tree — eight strided lane accumulators followed by a
-// fixed sequential lane combine — which is exactly the arithmetic of
-// `AccumulationOrder::kStrided` with `block = 8` (DeviceProfile::vector_eligible()).
-// One AVX2 ymm register holds the eight lanes, so the vector loop and
-// the scalar loop perform the *same additions in the same order*; they can only differ
-// in speed. Profiles whose order a vector unit cannot reproduce exactly (kSequential,
-// kPairwiseTree, kBlocked, kStrided with block != 8) always take the scalar path.
+// bit for bit). The backend achieves this by construction, in two ways:
+//
+//  - Lanes within one reduction. SumStrided8/DotStrided8 implement one FIXED tree —
+//    eight strided lane accumulators followed by a fixed sequential lane combine —
+//    which is exactly the arithmetic of `AccumulationOrder::kStrided` with
+//    `block = 8` (DeviceProfile::vector_eligible()). One AVX2 ymm register holds the
+//    eight lanes, so the vector loop and the scalar loop perform the *same additions
+//    in the same order*.
+//  - Lanes across outputs. DotColumns8 computes eight adjacent GEMM outputs at once,
+//    lane l running output l's whole reduction in the profile's own scalar order
+//    (kPairwiseTree or kBlocked). Tree and block shapes depend only on k, which all
+//    lanes share, and a per-lane vaddps is the scalar addss.
+//
+// Either way the vector and scalar paths can only differ in speed. Orders neither
+// form covers (kSequential, kStrided with block != 8, and a tree/blocked reduction
+// that is not a GEMM row) take the scalar path.
 //
 // Dispatch is decided once at startup from CPUID (plus the TAO_DISABLE_SIMD
 // environment escape hatch) and reported through LogSimdBackendOnce() and the
@@ -26,6 +34,8 @@
 #include <optional>
 
 namespace tao {
+
+struct DeviceProfile;
 
 enum class SimdBackend {
   kScalar,  // portable fixed-tree loops; the always-correct fallback
@@ -83,6 +93,20 @@ float SumStrided8(const float* x, int64_t n);
 // zero product cannot propagate through lane accumulators that start at +0).
 float DotStrided8(const float* a, int64_t stride_a, const float* b, int64_t stride_b,
                   int64_t n);
+
+// --- Lanes across outputs (kPairwiseTree and kBlocked profiles, AVX2 only) ---------
+//
+// True when DotColumns8 can serve `device`: the AVX2 backend is active and the
+// profile's order is kPairwiseTree or kBlocked. TAO_DISABLE_SIMD and
+// ScopedSimdBackend(kScalar) make it false, so callers take the scalar dots.
+bool DotColumns8Supported(const DeviceProfile& device);
+
+// out[l] = device.DotStrided(a, 1, b + l, ldb, k) for l in [0, 8), bitwise, for any
+// input (signed zeros, subnormals, infinities; a NaN result stays NaN). Products are
+// vmulps; FMA profiles mask exact-zero products to +0, which per lane equals
+// fmaf(a, b, 0) without FMA hardware. Aborts unless DotColumns8Supported(device).
+void DotColumns8(const DeviceProfile& device, const float* a, const float* b,
+                 int64_t ldb, int64_t k, float* out);
 
 // --- Exact elementwise helpers (safe for every profile and backend) -----------------
 //

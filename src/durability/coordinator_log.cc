@@ -29,6 +29,9 @@ bool ReadDigest(ByteReader& reader, Digest& digest) {
   return reader.ReadBytes(std::span<uint8_t>(digest.data(), digest.size()));
 }
 
+// Encoded size of a snapshot's shard scalars: now, submitted, three balances, gas and
+// the claim count.
+constexpr size_t kShardScalarBytes = 7 * 8;
 // Encoded size of one ClaimRecord in a snapshot (sanity bound for claim counts).
 constexpr size_t kClaimRecordBytes = 8 + 8 + 32 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
 
@@ -166,6 +169,7 @@ bool DecodeAction(std::span<const uint8_t> payload, CoordinatorAction& action) {
 
 std::vector<uint8_t> EncodeShardSnapshot(const ShardSnapshotState& state) {
   std::vector<uint8_t> out;
+  out.reserve(kShardScalarBytes + state.claims.size() * kClaimRecordBytes);
   AppendU64Le(out, state.now);
   AppendU64Le(out, state.submitted);
   AppendF64Le(out, state.balances.proposer);

@@ -62,15 +62,10 @@ std::vector<uint8_t> EncodeAction(const CoordinatorAction& action);
 // values return false. Never reads out of bounds.
 bool DecodeAction(std::span<const uint8_t> payload, CoordinatorAction& action);
 
-// Bitwise image of one Coordinator shard (the snapshot payload).
-struct ShardSnapshotState {
-  uint64_t now = 0;
-  uint64_t submitted = 0;
-  Balances balances;
-  int64_t gas = 0;
-  std::vector<ClaimRecord> claims;  // in id order, as the shard map iterates
-};
-
+// Bitwise image of one Coordinator shard (ShardSnapshotState, coordinator.h) as the
+// snapshot payload. Encoding reads the live shard in place (the caller holds its lock)
+// into one exactly sized buffer. Decoding does not check that claim ids are dense;
+// Coordinator recovery does, with a typed error.
 std::vector<uint8_t> EncodeShardSnapshot(const ShardSnapshotState& state);
 bool DecodeShardSnapshot(std::span<const uint8_t> payload, ShardSnapshotState& state);
 

@@ -108,11 +108,15 @@ bool ByteReader::ReadBytes(std::span<uint8_t> out) {
   return true;
 }
 
-void AppendFrame(std::vector<uint8_t>& out, std::span<const uint8_t> payload) {
+void AppendFrameHeader(std::vector<uint8_t>& out, std::span<const uint8_t> payload) {
   const auto length = static_cast<uint32_t>(payload.size());
   AppendU32Le(out, length);
   AppendU32Le(out, length ^ kLengthCheckXor);
   AppendU32Le(out, Crc32(payload));
+}
+
+void AppendFrame(std::vector<uint8_t>& out, std::span<const uint8_t> payload) {
+  AppendFrameHeader(out, payload);
   out.insert(out.end(), payload.begin(), payload.end());
 }
 

@@ -35,6 +35,9 @@ inline constexpr uint32_t kMaxRecordPayloadBytes = 16u << 20;
 
 // Appends one framed record to `out`.
 void AppendFrame(std::vector<uint8_t>& out, std::span<const uint8_t> payload);
+// Appends only the 12-byte frame header of `payload`'s record, for writers that then
+// write the payload from where it already is.
+void AppendFrameHeader(std::vector<uint8_t>& out, std::span<const uint8_t> payload);
 
 // Outcome of decoding the frame at `data[offset...]`.
 enum class FrameStatus {

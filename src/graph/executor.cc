@@ -44,24 +44,6 @@ ExecutionTrace Executor::RunInternal(const std::vector<Tensor>& inputs,
   return std::move(traces[0]);
 }
 
-std::vector<Tensor> Executor::RunOutputBatch(
-    const std::vector<std::vector<Tensor>>& batch_inputs, const ExecutorOptions& options,
-    TensorArena::Stats* arena_stats) const {
-  std::vector<BatchItem> items(batch_inputs.size());
-  for (size_t i = 0; i < batch_inputs.size(); ++i) {
-    items[i].inputs = &batch_inputs[i];
-  }
-  ExecutorOptions output_only = options;
-  output_only.with_bounds = false;
-  const std::vector<ExecutionTrace> traces = RunBatch(items, output_only, arena_stats);
-  std::vector<Tensor> outputs;
-  outputs.reserve(traces.size());
-  for (const ExecutionTrace& trace : traces) {
-    outputs.push_back(trace.value(graph_.output()));
-  }
-  return outputs;
-}
-
 std::vector<ExecutionTrace> Executor::RunBatch(const std::vector<BatchItem>& items,
                                                const ExecutorOptions& options,
                                                TensorArena::Stats* arena_stats) const {

@@ -110,12 +110,6 @@ class Executor {
                                        const ExecutorOptions& options = {},
                                        TensorArena::Stats* arena_stats = nullptr) const;
 
-  // Convenience: output-only batched run over B input sets on the executor's device.
-  // Element i is bitwise identical to RunOutput(batch_inputs[i], options).
-  std::vector<Tensor> RunOutputBatch(const std::vector<std::vector<Tensor>>& batch_inputs,
-                                     const ExecutorOptions& options = {},
-                                     TensorArena::Stats* arena_stats = nullptr) const;
-
  private:
   ExecutionTrace RunInternal(const std::vector<Tensor>& inputs,
                              const std::vector<Perturbation>& perturbations,

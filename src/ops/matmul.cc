@@ -1,8 +1,9 @@
 // Dense linear algebra: matmul (2-D), bmm (batched 3-D), linear (x·Wᵀ + b).
 //
-// Inner products route through DeviceProfile::DotStrided so that accumulation order
-// and FMA policy — the real nondeterminism surface of GPU GEMM kernels — vary across
-// the fleet. Bounds use the classic inner-product result
+// Inner products route through DeviceProfile::DotStrided (one output) or DotRow (a
+// row of outputs, eight lanes at a time where the profile has a lane kernel) so that
+// accumulation order and FMA policy — the real nondeterminism surface of GPU GEMM
+// kernels — vary across the fleet. Bounds use the classic inner-product result
 //   |fl(xᵀy) − xᵀy| ≤ γ_k · Σ|x_i||y_i|
 // with γ_k or γ̃_k(λ) per BoundContext::mode; linear adds one bias-add rounding.
 
@@ -40,6 +41,25 @@ void PackedMatmulPanel(const OpContext& ctx, const float* av, const float* btv,
   }
 }
 
+// Packs the transposes of `batch` row-major rows x cols matrices at `src` into arena
+// scratch of shape [batch, cols, rows]. Packing moves operands, never reorders a sum;
+// the caller Recycles the result.
+Tensor PackTransposed(const OpContext& ctx, const float* src, int64_t batch, int64_t rows,
+                      int64_t cols) {
+  Tensor packed = ctx.AllocateScratch(Shape{batch, cols, rows});
+  float* dst = packed.mutable_values().data();
+  ctx.For(batch * cols, [&](int64_t begin, int64_t end) {
+    for (int64_t c = begin; c < end; ++c) {
+      const float* from = src + (c / cols) * rows * cols + c % cols;
+      float* to = dst + c * rows;
+      for (int64_t r = 0; r < rows; ++r) {
+        to[r] = from[r * cols];
+      }
+    }
+  });
+  return packed;
+}
+
 class MatmulKernel : public OpKernel {
  public:
   std::string name() const override { return "matmul"; }
@@ -67,15 +87,8 @@ class MatmulKernel : public OpKernel {
     // Packed fast path once the pack cost (n·k) amortizes over enough rows; small-m
     // products keep the direct loop, whose strided dots the device already vectorizes.
     if (ctx.device.vector_eligible() && m >= 4) {
-      Tensor bt = ctx.AllocateScratch(Shape{n, k});
-      float* btv = bt.mutable_values().data();
-      ctx.For(n, [&](int64_t col_begin, int64_t col_end) {
-        for (int64_t j = col_begin; j < col_end; ++j) {
-          for (int64_t p = 0; p < k; ++p) {
-            btv[static_cast<size_t>(j * k + p)] = bv[static_cast<size_t>(p * n + j)];
-          }
-        }
-      });
+      Tensor bt = PackTransposed(ctx, bv, 1, k, n);
+      const float* btv = bt.values().data();
       ctx.For(m, [&](int64_t row_begin, int64_t row_end) {
         PackedMatmulPanel(ctx, av, btv, ov.data(), row_begin, row_end, n, k);
       });
@@ -85,10 +98,7 @@ class MatmulKernel : public OpKernel {
     // Rows write disjoint output ranges, so splitting the outer loop is bitwise safe.
     ctx.For(m, [&](int64_t row_begin, int64_t row_end) {
       for (int64_t i = row_begin; i < row_end; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-          ov[static_cast<size_t>(i * n + j)] =
-              ctx.device.DotStrided(av + i * k, 1, bv + j, n, k);
-        }
+        ctx.device.DotRow(av + i * k, bv, n, k, n, ov.data() + i * n);
       }
     });
     return out;
@@ -195,19 +205,8 @@ class BmmKernel : public OpKernel {
     // panels. Per-batch packing inside the row loop would repack k·n floats once per
     // row chunk; packing up front keeps both loops perfectly parallel.
     if (ctx.device.vector_eligible() && batch * m >= 4) {
-      Tensor btall = ctx.AllocateScratch(Shape{batch, n, k});
-      float* btv = btall.mutable_values().data();
-      ctx.For(batch * n, [&](int64_t begin, int64_t end) {
-        for (int64_t c = begin; c < end; ++c) {
-          const int64_t t = c / n;
-          const int64_t j = c % n;
-          const float* src = bv + t * k * n;
-          float* dst = btv + (t * n + j) * k;
-          for (int64_t p = 0; p < k; ++p) {
-            dst[p] = src[p * n + j];
-          }
-        }
-      });
+      Tensor btall = PackTransposed(ctx, bv, batch, k, n);
+      const float* btv = btall.values().data();
       ctx.For(batch * m, [&](int64_t begin, int64_t end) {
         for (int64_t r = begin; r < end; ++r) {
           const int64_t t = r / m;
@@ -228,12 +227,8 @@ class BmmKernel : public OpKernel {
       for (int64_t r = begin; r < end; ++r) {
         const int64_t t = r / m;
         const int64_t i = r % m;
-        const float* at = av + t * m * k;
-        const float* bt = bv + t * k * n;
-        for (int64_t j = 0; j < n; ++j) {
-          ov[static_cast<size_t>((t * m + i) * n + j)] =
-              ctx.device.DotStrided(at + i * k, 1, bt + j, n, k);
-        }
+        ctx.device.DotRow(av + (t * m + i) * k, bv + t * k * n, n, k, n,
+                          ov.data() + (t * m + i) * n);
       }
     });
     return out;
@@ -348,6 +343,23 @@ class LinearKernel : public OpKernel {
     const float* wv = w.values().data();
     const auto bv = b.values();
     auto ov = out.mutable_values();
+    if (simd::DotColumns8Supported(ctx.device) && out_features >= 8 && rows >= 4) {
+      // Lane kernels read eight adjacent outputs' weights as one row, so pack Wᵀ
+      // (in x out_features) once; each dot keeps its order, only its operand layout
+      // changes. Below 4 rows the pack (in·out_features strided stores) costs more
+      // than the lanes save, as in matmul's packed path.
+      Tensor wt = PackTransposed(ctx, wv, 1, out_features, in);
+      const float* wtv = wt.values().data();
+      ctx.For(rows, [&](int64_t row_begin, int64_t row_end) {
+        for (int64_t r = row_begin; r < row_end; ++r) {
+          float* orow = ov.data() + r * out_features;
+          ctx.device.DotRow(xv + r * in, wtv, out_features, in, out_features, orow);
+          simd::AddVec(orow, bv.data(), orow, out_features);
+        }
+      });
+      ctx.Recycle(std::move(wt));
+      return out;
+    }
     ctx.For(rows, [&](int64_t row_begin, int64_t row_end) {
       for (int64_t r = row_begin; r < row_end; ++r) {
         for (int64_t o = 0; o < out_features; ++o) {

@@ -68,9 +68,13 @@ RecoveryStatus Coordinator::InitDurability(DurabilityOptions options) {
   replaying_ = true;
   int64_t replayed_total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    const ShardDiskState& state = disk[s];
+    ShardDiskState& state = disk[s];
     if (state.has_snapshot) {
-      RestoreShard(s, state.snapshot);
+      if (RecoveryStatus status = RestoreShard(s, std::move(state.snapshot));
+          !status.ok()) {
+        replaying_ = false;
+        return status;
+      }
     }
     for (const CoordinatorAction& action : state.tail) {
       RecoveryStatus status = ApplyLoggedAction(s, action);
@@ -103,34 +107,31 @@ void Coordinator::LogMutation(size_t index, Shard& shard,
     return;
   }
   if (durability_->LogAction(index, action)) {
-    durability_->Snapshot(index, SnapshotShardLocked(shard));
+    durability_->Snapshot(index, shard);
   }
 }
 
-ShardSnapshotState Coordinator::SnapshotShardLocked(const Shard& shard) const {
-  ShardSnapshotState state;
-  state.now = shard.now;
-  state.submitted = shard.submitted;
-  state.balances = shard.balances;
-  state.gas = shard.gas;
-  state.claims.reserve(shard.claims.size());
-  for (const auto& [id, record] : shard.claims) {
-    state.claims.push_back(record);
+RecoveryStatus Coordinator::RestoreShard(size_t index, ShardSnapshotState&& state) {
+  const uint64_t num_shards = shards_.size();
+  if (state.claims.size() != state.submitted) {
+    return {RecoveryCode::kCorruptSnapshot,
+            "snapshot of shard " + std::to_string(index) + " holds " +
+                std::to_string(state.claims.size()) + " claims but records " +
+                std::to_string(state.submitted) + " submissions"};
   }
-  return state;
-}
-
-void Coordinator::RestoreShard(size_t index, const ShardSnapshotState& state) {
+  for (size_t i = 0; i < state.claims.size(); ++i) {
+    const ClaimId expected = 1 + index + i * num_shards;
+    if (state.claims[i].id != expected) {
+      return {RecoveryCode::kCorruptSnapshot,
+              "snapshot of shard " + std::to_string(index) + " holds claim " +
+                  std::to_string(state.claims[i].id) + " where id " +
+                  std::to_string(expected) + " belongs"};
+    }
+  }
   Shard& shard = *shards_[index];
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.now = state.now;
-  shard.submitted = state.submitted;
-  shard.balances = state.balances;
-  shard.gas = state.gas;
-  shard.claims.clear();
-  for (const ClaimRecord& claim : state.claims) {
-    shard.claims[claim.id] = claim;
-  }
+  static_cast<ShardSnapshotState&>(shard) = std::move(state);
+  return {};
 }
 
 RecoveryStatus Coordinator::ApplyLoggedAction(size_t index,
@@ -258,7 +259,7 @@ ClaimId Coordinator::SubmitCommitment(const Digest& c0, uint64_t challenge_windo
   record.proposer_bond = proposer_bond;
   shard.balances.proposer -= proposer_bond;  // escrowed
   record.gas += schedule_.commit;
-  shard.claims[record.id] = record;
+  shard.claims.push_back(record);  // index shard.submitted - 1: ids stay dense
   shard.gas += schedule_.commit;
   CoordinatorAction action;
   action.kind = CoordinatorAction::Kind::kSubmit;
@@ -429,17 +430,13 @@ void Coordinator::ChargeClaimGas(ClaimId id, int64_t gas) {
 int64_t Coordinator::claim_gas(ClaimId id) const {
   const Shard& shard = shard_for(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.claims.find(id);
-  TAO_CHECK(it != shard.claims.end()) << "unknown claim " << id;
-  return it->second.gas;
+  return FindClaim(shard, id).gas;
 }
 
 ClaimRecord Coordinator::claim(ClaimId id) const {
   const Shard& shard = shard_for(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.claims.find(id);
-  TAO_CHECK(it != shard.claims.end()) << "unknown claim " << id;
-  return it->second;
+  return FindClaim(shard, id);
 }
 
 Balances Coordinator::balances() const {
@@ -479,17 +476,21 @@ std::vector<ClaimId> Coordinator::shard_claims(size_t shard) const {
   std::lock_guard<std::mutex> lock(shards_[shard]->mu);
   std::vector<ClaimId> ids;
   ids.reserve(shards_[shard]->claims.size());
-  // std::map iterates in id order == this shard's submission order (ids ascend by S).
-  for (const auto& [id, record] : shards_[shard]->claims) {
-    ids.push_back(id);
+  for (const ClaimRecord& record : shards_[shard]->claims) {
+    ids.push_back(record.id);
   }
   return ids;
 }
 
+const ClaimRecord& Coordinator::FindClaim(const Shard& shard, ClaimId id) const {
+  // shard_for(id) picked the shard, so (id - 1) / S indexes its dense list.
+  const uint64_t index = (id - 1) / shards_.size();
+  TAO_CHECK_LT(index, shard.claims.size()) << "unknown claim " << id;
+  return shard.claims[static_cast<size_t>(index)];
+}
+
 ClaimRecord& Coordinator::MutableClaim(Shard& shard, ClaimId id) const {
-  const auto it = shard.claims.find(id);
-  TAO_CHECK(it != shard.claims.end()) << "unknown claim " << id;
-  return it->second;
+  return const_cast<ClaimRecord&>(FindClaim(shard, id));
 }
 
 }  // namespace tao

@@ -5,7 +5,7 @@
 // machine implements the same transitions and cost accounting (see gas.h).
 //
 // The state machine is SHARDED (see docs/coordinator.md): claims are partitioned by
-// ClaimId across `num_shards` independent shards, each with its own mutex, claim map,
+// ClaimId across `num_shards` independent shards, each with its own mutex, claim list,
 // logical clock, gas accumulator, and balance ledger. Claim lifecycles on different
 // shards never contend on a lock and never perturb each other's clocks, which is what
 // lets thousands of concurrent dispute flows stop serializing on one mutex. Global
@@ -17,7 +17,7 @@
 #define TAO_SRC_PROTOCOL_COORDINATOR_H_
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,7 +34,6 @@ namespace tao {
 // protocol header stays free of the changelog/writer includes.
 struct CoordinatorAction;
 class CoordinatorDurability;
-struct ShardSnapshotState;
 
 using ClaimId = uint64_t;
 // Identity of a committed model in the ModelRegistry (src/registry/). 0 is the
@@ -80,6 +79,17 @@ struct Balances {
   double proposer = 0.0;
   double challenger = 0.0;
   double treasury = 0.0;  // burned remainder of slashes
+};
+
+// One shard's state: exactly what a snapshot images bit for bit (the codec is in
+// src/durability/coordinator_log.h). Shard s holds the claims with ids 1 + s + i*S in
+// `claims[i]` (S = num_shards), so the list is dense and in submission order.
+struct ShardSnapshotState {
+  uint64_t now = 0;
+  uint64_t submitted = 0;  // claims homed here; drives id assignment
+  Balances balances;
+  int64_t gas = 0;
+  std::deque<ClaimRecord> claims;
 };
 
 // The Coordinator is safe to share across concurrently-running protocol flows (the
@@ -196,21 +206,18 @@ class Coordinator {
   void FlushDurability();
 
  private:
-  // One independent slice of the state machine. `gas` is a plain counter because it
-  // is only ever touched under `mu` (the old global meter had to be atomic).
-  struct Shard {
+  // One independent slice of the state machine: its state plus the mutex every
+  // access holds. `gas` is a plain counter because it is only ever touched under `mu`
+  // (the old global meter had to be atomic). A snapshot encodes the state in place.
+  struct Shard : ShardSnapshotState {
     mutable std::mutex mu;
-    uint64_t now = 0;
-    uint64_t submitted = 0;  // claims homed here; drives id assignment
-    std::map<ClaimId, ClaimRecord> claims;
-    Balances balances;
-    int64_t gas = 0;
   };
 
   Shard& shard_for(ClaimId id) { return *shards_[shard_of(id)]; }
   const Shard& shard_for(ClaimId id) const { return *shards_[shard_of(id)]; }
-  // Callers must hold shard.mu.
+  // Callers must hold shard.mu. O(1): claims[(id - 1) / S].
   ClaimRecord& MutableClaim(Shard& shard, ClaimId id) const;
+  const ClaimRecord& FindClaim(const Shard& shard, ClaimId id) const;
   void RecordLeafAdjudicationLocked(Shard& shard, ClaimId id, bool proposer_guilty,
                                     double challenger_share);
 
@@ -219,8 +226,9 @@ class Coordinator {
   // due. Caller holds shard.mu — the lock is what orders the log. No-op (one
   // branch) when in-memory or replaying.
   void LogMutation(size_t index, Shard& shard, const CoordinatorAction& action);
-  ShardSnapshotState SnapshotShardLocked(const Shard& shard) const;
-  void RestoreShard(size_t index, const ShardSnapshotState& state);
+  // Installs a decoded snapshot; kCorruptSnapshot unless its claim ids are exactly
+  // shard `index`'s dense sequence of `submitted` ids.
+  RecoveryStatus RestoreShard(size_t index, ShardSnapshotState&& state);
   // Re-applies one recovered action through the public transition methods
   // (replaying_ suppresses re-logging). Typed error on any divergence.
   RecoveryStatus ApplyLoggedAction(size_t index, const CoordinatorAction& action);

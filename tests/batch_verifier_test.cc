@@ -147,40 +147,6 @@ std::vector<BatchClaimOutcome> VerifyInClaimOrder(BatchVerifier& verifier,
   return outcomes;
 }
 
-// ----------------------------- Executor::RunOutputBatch -----------------------------
-
-TEST_F(BatchVerifierFixture, RunOutputBatchMatchesIndividualRuns) {
-  const Graph& graph = *model_->graph;
-  const Executor exec(graph, DeviceRegistry::ByName("H100"));
-  Rng rng(0xba7c0);
-  std::vector<std::vector<Tensor>> batch_inputs;
-  for (int i = 0; i < 4; ++i) {
-    batch_inputs.push_back(model_->sample_input(rng));
-  }
-  std::vector<Tensor> expected;
-  for (const auto& inputs : batch_inputs) {
-    expected.push_back(exec.RunOutput(inputs));
-  }
-  for (const int threads : {1, 2, 8}) {
-    for (const bool reuse : {false, true}) {
-      ExecutorOptions options;
-      options.num_threads = threads;
-      options.reuse_buffers = reuse;
-      TensorArena::Stats stats;
-      const std::vector<Tensor> outputs = exec.RunOutputBatch(batch_inputs, options, &stats);
-      ASSERT_EQ(outputs.size(), expected.size());
-      for (size_t i = 0; i < outputs.size(); ++i) {
-        EXPECT_TRUE(SameBits(outputs[i], expected[i]))
-            << "lane " << i << " diverged at threads=" << threads << " reuse=" << reuse;
-      }
-      if (reuse) {
-        // Lanes share one arena: a deep batch must recycle heavily.
-        EXPECT_GT(stats.pool_hits, 0);
-      }
-    }
-  }
-}
-
 // Epilogue nodes run inside the DAG, once per lane, after the lane's output exists.
 TEST_F(BatchVerifierFixture, BatchEpilogueSeesCompletedLane) {
   const Graph& graph = *model_->graph;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -400,6 +401,167 @@ TEST(SimdProfileTest, NonEligibleProfilesNeverTakeVectorPath) {
   }
 }
 
+// ---------------------------------------------------------------------------------
+// Product staging and lanes across outputs: FusedProduct must be fmaf(a, b, 0) bit
+// for bit, and the 8-output GEMM lanes must reproduce each profile's scalar
+// DotStrided per lane.
+// ---------------------------------------------------------------------------------
+
+// Bitwise, except that any NaN matches any NaN: when two different NaNs meet, which
+// payload survives depends on an operation's operand order, and neither the
+// compiler (it may commute a*b or x + y) nor libm's fmaf pins that order.
+::testing::AssertionResult BitEqOrBothNan(float x, float y) {
+  if (std::isnan(x) && std::isnan(y)) {
+    return ::testing::AssertionSuccess();
+  }
+  return BitEq(x, y);
+}
+
+// FusedProduct(a, b) against fmaf(a, b, 0): bitwise, including the payload of a NaN
+// factor, except for the payload when both factors are NaN.
+::testing::AssertionResult FusedProductMatchesFmaf(float a, float b) {
+  const float fused = FusedProduct(a, b);
+  const float reference = std::fmaf(a, b, 0.0f);
+  return std::isnan(a) && std::isnan(b) ? BitEqOrBothNan(fused, reference)
+                                        : BitEq(fused, reference);
+}
+
+TEST(FusedProductTest, EqualsFmafAgainstZeroBitwise) {
+  // Specials cover exact zeros of both signs (so -x * 0 and 0 * -x), subnormals,
+  // pairs whose product underflows to -0 or +0 or into the subnormals, overflow to
+  // infinity, infinities times zero, and NaNs with distinct payloads.
+  const float kSpecials[] = {
+      0.0f,       -0.0f,       1.0f,        -1.0f,        0x1p-149f,   -0x1p-149f,
+      0x1p-126f,  -0x1p-127f,  1e-30f,      -1e-30f,      3e-20f,      -7e-25f,
+      1e20f,      -3e25f,      0x1p127f,    -0x1.fffffep127f, INFINITY, -INFINITY,
+      std::bit_cast<float>(0x7fc00001u), std::bit_cast<float>(0xffc12345u),
+      std::bit_cast<float>(0x7f800123u),  // signalling NaN
+  };
+  for (const float a : kSpecials) {
+    for (const float b : kSpecials) {
+      EXPECT_TRUE(FusedProductMatchesFmaf(a, b)) << a << " * " << b;
+    }
+  }
+  // Random bit patterns: every exponent, sign and payload, a quarter of them pairs of
+  // tiny magnitudes so underflow is common.
+  Rng rng(0xf0a1);
+  for (int i = 0; i < 1'000'000; ++i) {
+    uint32_t abits = static_cast<uint32_t>(rng.NextU64());
+    uint32_t bbits = static_cast<uint32_t>(rng.NextU64());
+    if ((i & 3) == 0) {
+      abits &= 0x83ffffffu;  // exponent field below 2^-60
+      bbits &= 0x87ffffffu;
+    }
+    const float a = std::bit_cast<float>(abits);
+    const float b = std::bit_cast<float>(bbits);
+    ASSERT_TRUE(FusedProductMatchesFmaf(a, b)) << std::hex << abits << " * " << bbits;
+  }
+}
+
+// HardVector plus values whose products underflow (to -0, +0 or subnormals) and, when
+// `non_finite`, sparse infinities and NaNs.
+std::vector<float> LaneHardVector(size_t n, uint64_t seed, bool non_finite) {
+  Rng rng(seed);
+  std::vector<float> v = HardVector(n, seed ^ 0x1a9e);
+  for (float& x : v) {
+    switch (rng.NextBounded(non_finite ? 40 : 10)) {
+      case 0:
+        x = 1e-25f * static_cast<float>(rng.NextGaussian());  // products underflow
+        break;
+      case 1:
+        x = -x;
+        break;
+      case 2:
+        x = non_finite ? ((rng.NextU64() & 1) ? INFINITY : -INFINITY) : x;
+        break;
+      case 3:
+        x = non_finite ? NAN : x;
+        break;
+      default:
+        break;
+    }
+  }
+  return v;
+}
+
+// The fleet plus variants that flip each profile's FMA policy and move the block, so
+// both product rules meet both orders and blocks that do and do not divide k.
+std::vector<DeviceProfile> LaneProfiles() {
+  std::vector<DeviceProfile> profiles = DeviceRegistry::Fleet();
+  profiles.push_back(DeviceRegistry::Reference());
+  for (const DeviceProfile& d : DeviceRegistry::Fleet()) {
+    DeviceProfile flipped = d;
+    flipped.name += "/fma-flipped";
+    flipped.fma = !d.fma;
+    profiles.push_back(flipped);
+  }
+  for (const int64_t block : {1, 3, 8, 100}) {
+    DeviceProfile blocked = DeviceRegistry::ByName("A100");
+    blocked.name += "/block" + std::to_string(block);
+    blocked.block = block;
+    profiles.push_back(blocked);
+  }
+  return profiles;
+}
+
+TEST_F(SimdEquivalenceTest, DotRowLanesMatchScalarDotStridedPerOutput) {
+  // k crosses the written-out tree leaves (1..4), every residue of the blocks, A100's
+  // 128-wide block, and the 256 products a scalar dot stages on the stack. Row widths
+  // leave n % 8 tails behind the 8-output lanes; ldb > n reads a column panel out of
+  // a wider matrix.
+  std::vector<int64_t> ks;
+  for (int64_t k = 0; k <= 40; ++k) {
+    ks.push_back(k);
+  }
+  ks.insert(ks.end(), {63, 64, 65, 127, 128, 129, 255, kStagedDotProducts,
+                       kStagedDotProducts + 1, 300, 513});
+  constexpr int64_t kWidths[] = {1, 8, 13, 16, 21};
+  constexpr int64_t kLdb = 29;
+  for (const bool non_finite : {false, true}) {
+    for (const int64_t k : ks) {
+      const uint64_t seed = 0x1a7e + static_cast<uint64_t>(k) * 2 + (non_finite ? 1 : 0);
+      const auto a = LaneHardVector(static_cast<size_t>(k), seed, non_finite);
+      const auto b = LaneHardVector(static_cast<size_t>(k * kLdb), seed + 0x100, non_finite);
+      for (const DeviceProfile& d : LaneProfiles()) {
+        for (const int64_t n : kWidths) {
+          std::vector<float> scalar(static_cast<size_t>(n)), lanes(static_cast<size_t>(n));
+          {
+            ScopedSimdBackend force(SimdBackend::kScalar);
+            for (int64_t j = 0; j < n; ++j) {
+              scalar[static_cast<size_t>(j)] = d.DotStrided(a.data(), 1, b.data() + j, kLdb, k);
+            }
+          }
+          {
+            ScopedSimdBackend force(SimdBackend::kAvx2);
+            d.DotRow(a.data(), b.data(), kLdb, k, n, lanes.data());
+          }
+          for (int64_t j = 0; j < n; ++j) {
+            ASSERT_TRUE(BitEqOrBothNan(lanes[static_cast<size_t>(j)],
+                                       scalar[static_cast<size_t>(j)]))
+                << d.name << " k=" << k << " n=" << n << " j=" << j
+                << " non_finite=" << non_finite;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdEquivalenceTest, DotColumns8ServesTreeAndBlockedOnlyOnAvx2) {
+  for (const DeviceProfile& d : DeviceRegistry::Fleet()) {
+    const bool lane_order = d.order == AccumulationOrder::kPairwiseTree ||
+                            d.order == AccumulationOrder::kBlocked;
+    {
+      ScopedSimdBackend force(SimdBackend::kAvx2);
+      EXPECT_EQ(simd::DotColumns8Supported(d), lane_order) << d.name;
+    }
+    ScopedSimdBackend force(SimdBackend::kScalar);
+    EXPECT_FALSE(simd::DotColumns8Supported(d)) << d.name;
+  }
+  ScopedSimdBackend force(SimdBackend::kAvx2);
+  EXPECT_FALSE(simd::DotColumns8Supported(DeviceRegistry::Reference()));
+}
+
 TEST(SimdProfileTest, BackendNamesAndSupport) {
   EXPECT_STREQ(SimdBackendName(SimdBackend::kScalar), "scalar");
   EXPECT_STREQ(SimdBackendName(SimdBackend::kAvx2), "avx2");
@@ -420,7 +582,7 @@ TEST(FleetSignatureTest, PinnedToPublishedCalibrationsAndMovedByArithmetic) {
   fleet[0].fma = !fleet[0].fma;
   EXPECT_NE(FleetSignature(fleet), sig);
   fleet[0].fma = !fleet[0].fma;
-  fleet[1].order = AccumulationOrder::kReversed;
+  fleet[1].block = 64;
   EXPECT_NE(FleetSignature(fleet), sig);
 }
 

@@ -27,6 +27,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -1070,6 +1071,47 @@ TEST(CorruptionTest, CorruptCommittedSnapshotFailsLoudly) {
   Coordinator recovered(GasSchedule{}, 10, 1, 0, RecoverOptions(run.dir), &status);
   EXPECT_EQ(status.code, RecoveryCode::kCorruptSnapshot);
   std::filesystem::remove_all(run.dir);
+}
+
+// A snapshot that decodes but whose claim list is not the shard's dense id sequence
+// (ids 1 + s + i*S, one per recorded submission) is rejected with a typed error: the
+// coordinator indexes claims by position, so such a list can never be installed.
+TEST(CorruptionTest, SnapshotWithNonDenseClaimIdsIsRejected) {
+  const auto rewrite_snapshot = [](const std::string& snap,
+                                   const std::function<void(ShardSnapshotState&)>& edit) {
+    const std::vector<uint8_t> bytes = ReadFileBytes(snap);
+    size_t offset = kFileHeaderBytes;
+    std::span<const uint8_t> payload;
+    ASSERT_EQ(DecodeFrame(bytes, offset, payload), FrameStatus::kOk);
+    ShardSnapshotState state;
+    ASSERT_TRUE(DecodeShardSnapshot(payload, state));
+    ASSERT_GE(state.claims.size(), 2u) << "run too short to snapshot two claims";
+    edit(state);
+    std::vector<uint8_t> rewritten(bytes.begin(), bytes.begin() + kFileHeaderBytes);
+    AppendFrame(rewritten, EncodeShardSnapshot(state));
+    WriteFileBytes(snap, rewritten);
+  };
+  const std::vector<std::function<void(ShardSnapshotState&)>> edits = {
+      [](ShardSnapshotState& state) { std::swap(state.claims[0], state.claims[1]); },
+      [](ShardSnapshotState& state) { state.claims.back().id += 1; },
+      [](ShardSnapshotState& state) { state.claims.pop_back(); },
+      [](ShardSnapshotState& state) { state.submitted += 1; },
+  };
+  for (const size_t num_shards : {size_t{1}, size_t{2}}) {
+    for (size_t e = 0; e < edits.size(); ++e) {
+      const DurableRunFiles run =
+          MakeCompletedRun("sparse_snapshot_" + std::to_string(num_shards), num_shards);
+      const std::string snap = SnapshotPath(run.dir, num_shards - 1);
+      ASSERT_TRUE(std::filesystem::exists(snap)) << "run too short to snapshot";
+      rewrite_snapshot(snap, edits[e]);
+      RecoveryStatus status;
+      Coordinator recovered(GasSchedule{}, 10, num_shards, 0, RecoverOptions(run.dir),
+                            &status);
+      EXPECT_EQ(status.code, RecoveryCode::kCorruptSnapshot)
+          << "edit " << e << " at " << num_shards << " shards: " << status.message;
+      std::filesystem::remove_all(run.dir);
+    }
+  }
 }
 
 TEST(CorruptionTest, StaleSnapshotTmpIsDeletedNeverLoaded) {

@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <latch>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -405,19 +407,22 @@ TEST(ResourceTrackerTest, ScopedThreadRegistersSamplesAndRecyclesOrdinals) {
     }
   }
 
-  // Two live occupants of one role get distinct ordinals.
-  std::thread a([] {
+  // Two live occupants of one role get distinct ordinals. Both register, then wait
+  // at the latch until both are alive; which thread registers first (and so takes
+  // ordinal 0) is up to the scheduler, so only the pair of names is asserted.
+  std::latch both_registered(2);
+  std::string names[2];
+  const auto occupant = [&both_registered, &names](int slot) {
     ResourceTracker::ScopedThread self("rt_pair");
-    EXPECT_EQ(self.name(), "rt_pair/0");
-    SpinFor(std::chrono::milliseconds(5));
-  });
-  std::thread b([&a] {
-    ResourceTracker::ScopedThread self("rt_pair");
-    // Ordinal depends on registration order; either way the two differ.
-    EXPECT_TRUE(self.name() == "rt_pair/0" || self.name() == "rt_pair/1");
-    a.join();
-  });
+    names[slot] = self.name();
+    both_registered.arrive_and_wait();
+  };
+  std::thread a(occupant, 0);
+  std::thread b(occupant, 1);
+  a.join();
   b.join();
+  EXPECT_EQ(std::set<std::string>({names[0], names[1]}),
+            std::set<std::string>({"rt_pair/0", "rt_pair/1"}));
 }
 
 TEST(ResourceTrackerTest, CountersIncludeRolesArenaFoldAndGauges) {

@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -489,9 +492,10 @@ TEST_F(OpsTest, DataMovementOpsHaveZeroBound) {
 // --------------------------- SIMD backend equivalence ------------------------------
 //
 // The vectorized backend (src/device/simd.h) claims bitwise identity with the scalar
-// fixed-tree loops. These sweeps check the claim where it matters: whole operator
-// forwards and bound templates on the fleet's vector-eligible profile, and full
-// zoo-model traces. Bitwise-equal outputs imply equal result commitments (C0 hashes
+// loops: the fixed 8-lane tree on RTX6000, the lanes-across-outputs GEMM kernels on
+// H100/A100/RTX4090, and the exact elementwise helpers and vmath everywhere. These
+// sweeps check the claim where it matters: whole operator forwards and bound
+// templates, and full zoo-model traces, on every fleet profile. Bitwise-equal outputs imply equal result commitments (C0 hashes
 // exact FP32 bytes), so a passing sweep means dispatch can never change a verdict.
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
@@ -513,6 +517,11 @@ std::vector<SoundnessCase> SimdSweepCases() {
   cases.push_back({"matmul", {Shape{5, 7}, Shape{7, 3}}, {}, 1.0f});
   cases.push_back({"bmm", {Shape{3, 6, 29}, Shape{3, 29, 5}}, {}, 1.0f});
   cases.push_back({"linear", {Shape{6, 83}, Shape{13, 83}, Shape{13}}, {}, 1.0f});
+  // Inner dimensions past A100's 128-wide blocks and past the 256 products a scalar
+  // dot stages on the stack, with n % 8 tails behind the 8-output lanes.
+  cases.push_back({"matmul", {Shape{4, 300}, Shape{300, 17}}, {}, 1.0f});
+  cases.push_back({"bmm", {Shape{2, 5, 131}, Shape{2, 131, 19}}, {}, 1.0f});
+  cases.push_back({"linear", {Shape{5, 260}, Shape{24, 260}, Shape{24}}, {}, 1.0f});
   {
     Attrs a;
     a.Set("axis", static_cast<int64_t>(-1));
@@ -550,7 +559,18 @@ std::vector<SoundnessCase> SimdSweepCases() {
   return cases;
 }
 
-class SimdOpSweepTest : public ::testing::TestWithParam<int> {
+const std::vector<std::string>& FleetNames() {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const DeviceProfile& d : DeviceRegistry::Fleet()) {
+      names.push_back(d.name);
+    }
+    return names;
+  }();
+  return kNames;
+}
+
+class SimdOpSweepTest : public ::testing::TestWithParam<std::tuple<int, std::string>> {
  protected:
   void SetUp() override {
     RegisterAllOps();
@@ -561,15 +581,13 @@ class SimdOpSweepTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(SimdOpSweepTest, ForwardAndBoundBitwiseScalarVsSimd) {
-  const SoundnessCase c = SimdSweepCases()[static_cast<size_t>(GetParam())];
+  const auto& [index, profile] = GetParam();
+  const SoundnessCase c = SimdSweepCases()[static_cast<size_t>(index)];
   std::vector<Tensor> inputs;
   for (size_t i = 0; i < c.shapes.size(); ++i) {
-    inputs.push_back(RandTensor(c.shapes[i], 300 + GetParam() * 10 + i, c.scale));
+    inputs.push_back(RandTensor(c.shapes[i], 300 + index * 10 + i, c.scale));
   }
-  // RTX6000 carries kStrided(block=8) — the one profile whose reductions dispatch to
-  // the vector backend.
-  const DeviceProfile& device = DeviceRegistry::ByName("RTX6000");
-  ASSERT_TRUE(device.vector_eligible());
+  const DeviceProfile& device = DeviceRegistry::ByName(profile);
   const OpKernel& kernel = OpRegistry::Instance().Get(c.op);
   Tensor out_scalar, out_simd;
   DTensor bound_scalar, bound_simd;
@@ -585,19 +603,23 @@ TEST_P(SimdOpSweepTest, ForwardAndBoundBitwiseScalarVsSimd) {
     bound_simd = kernel.Bound({device, inputs, out_simd, c.attrs,
                                BoundMode::kDeterministic, kDefaultLambda});
   }
-  EXPECT_TRUE(BitwiseEqual(out_scalar, out_simd)) << c.op;
-  EXPECT_TRUE(BitwiseEqualD(bound_scalar, bound_simd)) << c.op;
+  EXPECT_TRUE(BitwiseEqual(out_scalar, out_simd)) << c.op << " on " << profile;
+  EXPECT_TRUE(BitwiseEqualD(bound_scalar, bound_simd)) << c.op << " on " << profile;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllOps, SimdOpSweepTest,
-                         ::testing::Range(0, static_cast<int>(SimdSweepCases().size())));
+INSTANTIATE_TEST_SUITE_P(
+    AllOpsAllProfiles, SimdOpSweepTest,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(SimdSweepCases().size())),
+                       ::testing::ValuesIn(FleetNames())));
 
-TEST(SimdZooTraceTest, FullTracesAndBoundsBitwiseStableAcrossBackends) {
+class SimdZooTraceTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SimdZooTraceTest, FullTracesAndBoundsBitwiseStableAcrossBackends) {
   if (!SimdBackendSupported(SimdBackend::kAvx2)) {
     GTEST_SKIP() << "AVX2 unavailable; only the scalar backend exists here";
   }
   RegisterAllOps();
-  const DeviceProfile& device = DeviceRegistry::ByName("RTX6000");
+  const DeviceProfile& device = DeviceRegistry::ByName(GetParam());
   ExecutorOptions options;
   options.with_bounds = true;
   options.bound_mode = BoundMode::kDeterministic;
@@ -625,18 +647,27 @@ TEST(SimdZooTraceTest, FullTracesAndBoundsBitwiseStableAcrossBackends) {
   }
 }
 
-TEST(VmathZooTraceTest, TracesAndBoundsBackendInvariantOnScalarOnlyProfile) {
-  // The H100 profile is NOT vector-eligible: its reductions never dispatch to the
-  // SIMD backend, so the ONLY backend-sensitive code on this profile is vmath's
-  // AVX2-vs-scalar dispatch. Bitwise-equal full-model traces here isolate the
-  // vmath bitwise-identity claim from the reduction-tree one SimdZooTraceTest
-  // already holds.
+INSTANTIATE_TEST_SUITE_P(AllProfiles, SimdZooTraceTest, ::testing::ValuesIn(FleetNames()));
+
+TEST(VmathZooTraceTest, TracesAndBoundsBackendInvariantWithoutVectorReductions) {
+  // A kSequential profile has no vector reduction of any kind: it is not
+  // vector-eligible (no 8-lane tree) and has no lanes-across-outputs GEMM kernel
+  // (H100, once the scalar-only example, now runs its GEMMs in AVX2 lanes). So
+  // the ONLY backend-sensitive code on it is the exact elementwise helpers and
+  // vmath's AVX2-vs-scalar dispatch. Bitwise-equal full-model traces here isolate
+  // the vmath bitwise-identity claim from the reduction claims SimdZooTraceTest
+  // holds.
   if (!SimdBackendSupported(SimdBackend::kAvx2)) {
     GTEST_SKIP() << "AVX2 unavailable; only the scalar backend exists here";
   }
   RegisterAllOps();
-  const DeviceProfile& device = DeviceRegistry::ByName("H100");
+  DeviceProfile device = DeviceRegistry::ByName("H100");
+  device.order = AccumulationOrder::kSequential;
   ASSERT_FALSE(device.vector_eligible());
+  {
+    ScopedSimdBackend force(SimdBackend::kAvx2);
+    ASSERT_FALSE(simd::DotColumns8Supported(device));
+  }
   ExecutorOptions options;
   options.with_bounds = true;
   options.bound_mode = BoundMode::kDeterministic;
